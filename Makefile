@@ -1,4 +1,4 @@
-.PHONY: all build test check clean repro quick sweep bench bench-sweep bench-host bench-host-smoke bench-service metrics fuzz profile perfgate perfgate-service fault-matrix
+.PHONY: all build test check golden clean repro quick sweep fuzz profile fault-matrix
 
 all: build
 
@@ -8,12 +8,19 @@ build:
 test:
 	dune runtest
 
-# CI entry point: full build + every test suite.
+# CI entry point: full build + every test suite, including the byte-exact
+# goldens (test/golden/).
 check:
 	dune build
 	dune runtest
 
-# Worker-domain count for sharded targets (sweep, bench, fault-matrix).
+# Accept an intended change to simulated output: regenerate the goldens,
+# show the diff, and promote the fresh documents into test/golden/ so the
+# change lands as a reviewable hunk.
+golden:
+	dune build @test/golden || dune promote
+
+# Worker-domain count for sharded targets (sweep, fault-matrix).
 # Output is byte-identical at any value; JOBS=1 is the determinism control.
 JOBS ?= 1
 
@@ -30,73 +37,12 @@ repro:
 sweep:
 	dune exec bin/repro.exe -- sweep --quick -j $(JOBS)
 
-# Host micro-benchmarks + the full paper reproduction, sharding the cells
-# inside each experiment across JOBS domains.
-bench:
-	dune exec bench/main.exe -- --quick --jobs $(JOBS)
-
-# Sequential vs parallel wall-clock for the quick matrix: writes
-# BENCH_SWEEP.json (host_cores, both timings, output-identical check).
-# Gated warn-only by perfgate's host dimension.
-SWEEP_JOBS ?= 4
-bench-sweep:
-	dune exec bench/main.exe -- --sweep-timing --jobs $(SWEEP_JOBS) \
-	  --out BENCH_SWEEP.json
-
-# Host-throughput report (the CI invocation): fused vs slow engine over the
-# paper methods at 1 and 4 threads, writing BENCH_HOST.json.  Exits nonzero
-# if any config's simulated results differ between the two paths.  The
-# smoke variant is the PR-time differential: a reduced matrix whose only
-# point is the sim-identity check.
-bench-host:
-	dune exec --profile release bench/main.exe -- --host-throughput \
-	  --out BENCH_HOST.json
-
-bench-host-smoke:
-	dune exec bench/main.exe -- --host-throughput --smoke \
-	  --out BENCH_HOST.smoke.json
-
-# Service-scenario SLA baseline (E14): the four-phase Zipfian store per
-# scheme, with per-phase op p99 and peak unreclaimed embedded as a
-# "phases" array — what perfgate's phase_p99 / phase_unreclaimed
-# dimensions gate against.
-bench-service:
-	dune exec bench/main.exe -- --service --out BENCH_SERVICE.json
-
-# Machine-readable metrics baseline: a small E1-style sweep with the full
-# metrics snapshot and cycle-attribution profile per run.  CI archives the
-# JSON as an artifact; it is also the committed perf-regression baseline.
-metrics:
-	dune exec bench/main.exe -- --profile --out BENCH_E1.json
-
 # Cycle-attribution profile of a fixed-seed E1-style run: span breakdown,
 # per-op latency percentiles and contention hot spots on stdout, plus
 # profile.json (rerun later with `repro profile --diff profile.json`) and
 # profile.folded (flamegraph.pl / speedscope input).
 profile:
 	dune exec bin/repro.exe -- profile --out profile.json --folded profile.folded
-
-# Perf-regression gate: rerun the profiled sweep and compare throughput and
-# per-op p99 latency against the committed BENCH_E1.json baseline.  The
-# relative leg additionally requires DEBRA's no-fault throughput to stay
-# within the drop threshold of EBR's inside the fresh run itself.  The
-# second invocation tracks IMR against OA-BIT warn-only: IMR's
-# revoke-broadcast pricing is expected to trail OA-BIT on contended
-# workloads, so the ratio is observability, never a failure.
-perfgate:
-	dune exec bench/main.exe -- --profile --out BENCH_E1.current.json
-	dune exec bin/perfgate.exe -- BENCH_E1.json BENCH_E1.current.json \
-	  --relative debra:ebr
-	dune exec bin/perfgate.exe -- BENCH_E1.json BENCH_E1.current.json \
-	  --warn-only --relative imr:oa-bit
-
-# Phase-scoped SLA gate (nightly): rerun the service scenario and compare
-# per-phase op p99 and peak unreclaimed against the committed
-# BENCH_SERVICE.json.  Both dimensions are simulated and deterministic, so
-# they gate hard.
-perfgate-service:
-	dune exec bench/main.exe -- --service --out BENCH_SERVICE.current.json
-	dune exec bin/perfgate.exe -- BENCH_SERVICE.json BENCH_SERVICE.current.json
 
 # Nightly fault matrix: E13 across every scheme x {no-fault, stall, crash}
 # with the lifecycle sanitizer on; per-leg garbage curves land in

@@ -93,13 +93,26 @@ let sanitize_arg =
   in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
 
-let jobs_arg =
+let jobs_term =
   let doc =
     "Worker domains: shards independent cells inside an experiment (`run', \
      `all'), whole experiments (`sweep') and fuzz seed chunks (`fuzz').  \
-     Output is byte-identical at any value."
+     Output is byte-identical at any value.  Values above the host's \
+     recommended domain count are clamped to it, since extra domains only \
+     time-slice the same cores."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let clamp jobs =
+    let cores = Domain.recommended_domain_count () in
+    if jobs <= cores then jobs
+    else begin
+      Printf.eprintf
+        "repro: -j %d clamped to %d (the host's recommended domain count)\n%!"
+        jobs cores;
+      cores
+    end
+  in
+  Term.(
+    const clamp $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
 let config_term =
   let make threads horizon fig4 fig6 full schemes seed csv quick trace metrics
@@ -127,7 +140,13 @@ let config_term =
   Term.(
     const make $ threads_arg $ horizon_arg $ fig4_arg $ fig6_arg $ full_arg
     $ schemes_arg $ seed_arg $ csv_arg $ quick_arg $ trace_arg $ metrics_arg
-    $ sanitize_arg $ jobs_arg)
+    $ sanitize_arg $ jobs_term)
+
+(* Experiment ids parse as an enum, so an unknown id is a usage error that
+   lists the known ids rather than an uncaught exception. *)
+let experiment_conv =
+  Arg.enum
+    (List.map (fun (e : Experiments.t) -> (e.Experiments.id, e)) Experiments.all)
 
 let list_cmd =
   let run () =
@@ -209,12 +228,10 @@ let run_cmd =
   let id_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some experiment_conv) None
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see `repro list').")
   in
-  let run cfg id =
-    let e = Experiments.find id in
-    emit_doc cfg (e.Experiments.run cfg)
+  let run cfg (e : Experiments.t) = emit_doc cfg (e.Experiments.run cfg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment.")
@@ -235,16 +252,12 @@ let all_cmd =
 let sweep_cmd =
   let ids_arg =
     Arg.(
-      value & pos_all string []
+      value & pos_all experiment_conv []
       & info [] ~docv:"EXPERIMENT"
           ~doc:"Experiment ids to sweep (default: all).")
   in
-  let run cfg ids =
-    let exps =
-      match ids with
-      | [] -> Experiments.all
-      | ids -> List.map Experiments.find ids
-    in
+  let run cfg exps =
+    let exps = if exps = [] then Experiments.all else exps in
     let outcomes =
       Sweep.experiments ~jobs:cfg.Experiments.jobs cfg exps
     in
@@ -403,7 +416,7 @@ let fuzz_cmd =
           and written as replayable repro JSON.")
     Term.(
       const run $ seed_arg $ max_runs_arg $ seconds_arg $ scenarios_arg
-      $ schemes_arg $ out_arg $ include_expected_arg $ jobs_arg)
+      $ schemes_arg $ out_arg $ include_expected_arg $ jobs_term)
 
 (* --- cycle-attribution profiling ------------------------------------------- *)
 

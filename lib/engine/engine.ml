@@ -481,8 +481,8 @@ let crashed t ~tid = t.slots.(tid).fstats.crashed
 
 (* Total yield points executed (all threads, all phases): the engine's
    simulated step count, identical whether a yield went through the
-   scheduler, the fused inline path, or a parked commit.  [bench
-   --host-throughput] reports steps per host second from this. *)
+   scheduler, the fused inline path, or a parked commit.  The repository
+   benchmark reports steps per host second from this. *)
 let steps t =
   Array.fold_left (fun acc s -> acc + s.fstats.yields) 0 t.slots
 

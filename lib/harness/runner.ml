@@ -32,8 +32,8 @@ type spec = {
   profile : bool;  (* cycle-attribution profiling during the run *)
   fused : bool;
       (* engine inline fast path + vmem translation cache; off = the
-         pre-fusion slow path (the host-throughput baseline and the
-         differential tests — simulated results are identical either way) *)
+         pre-fusion slow path (the differential tests' baseline —
+         simulated results are identical either way) *)
   runahead : bool;
       (* run-ahead parking tier of the fused path; only meaningful with
          [fused] — kept separate so the differential tests can compare

@@ -49,8 +49,7 @@ type result = {
   host_seconds : float;  (** host wall-clock of the measured phase *)
   host_steps : int;  (** simulated yield points in the measured phase *)
   host_steps_per_sec : float;
-      (** simulated steps per host second — the simulator-speed number the
-          host-throughput gate watches *)
+      (** simulated steps per host second — the simulator-speed number *)
   metrics : Oamem_obs.Metrics.snapshot;
       (** one named view over every subsystem's counters (measured window
           only — warmup is reset away) *)

@@ -85,6 +85,8 @@ let spec ~fused scheme threads =
     fused;
   }
 
+(* Every registered scheme at 1 thread (a permanent leader tenure) and at
+   4 (tenure handoffs and run-ahead parking). *)
 let test_runner_differential () =
   List.iter
     (fun (scheme, threads) ->
@@ -100,7 +102,7 @@ let test_runner_differential () =
       check_bool (name "metrics") true
         (Json.to_string (Export.metrics_json s.Runner.metrics)
         = Json.to_string (Export.metrics_json f.Runner.metrics)))
-    [ ("oa-ver", 1); ("oa-ver", 4); ("nr", 2); ("hp", 2) ]
+    (List.concat_map (fun scheme -> [ (scheme, 1); (scheme, 4) ]) Registry.names)
 
 (* IMR leans on the two conditional-access engine paths that have fused-tier
    fast copies — revocation posts (tenure teardown) and the squash latch on

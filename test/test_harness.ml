@@ -234,6 +234,40 @@ let test_experiments_registry () =
        ^ ")"))
     (fun () -> ignore (Experiments.find "nope"))
 
+(* The CLI turns an unknown id into a usage error naming the known ids, not
+   an uncaught exception.  Tests run in _build/default/test; the binary
+   builds next door. *)
+let test_repro_unknown_id () =
+  let repro = Filename.concat ".." (Filename.concat "bin" "repro.exe") in
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "repro" ".err" in
+      let code =
+        Sys.command
+          (Filename.quote_command repro args ~stdout:Filename.null ~stderr:err)
+      in
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      let cmd = String.concat " " args in
+      let contains sub =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      check_bool (cmd ^ ": nonzero exit") true (code <> 0);
+      check_bool (cmd ^ ": not an uncaught exception") false
+        (code = 125 || contains "internal error");
+      List.iter
+        (fun (e : Experiments.t) ->
+          check_bool
+            (cmd ^ ": lists " ^ e.Experiments.id)
+            true
+            (contains ("'" ^ e.Experiments.id ^ "'")))
+        Experiments.all)
+    [ [ "run"; "bogus" ]; [ "sweep"; "fig4a"; "bogus" ] ]
+
 let test_small_experiment_runs () =
   (* dwcas-leak is the cheapest full experiment: run it end to end *)
   let doc =
@@ -269,6 +303,7 @@ let suite =
     ("report chart", `Quick, test_report_chart_renders_series);
     ("report csv", `Quick, test_report_csv);
     ("experiments registry", `Quick, test_experiments_registry);
+    ("repro rejects unknown ids", `Quick, test_repro_unknown_id);
     ("small experiment runs", `Quick, test_small_experiment_runs);
     ("config builder", `Quick, test_config_builder);
   ]

@@ -1,9 +1,8 @@
 (* Tests for the cycle-attribution profiler: exact percentile math on known
    inputs, reconciliation of the profile's cycle total against the engine's
    thread clocks, deterministic (byte-identical) export for a fixed seed,
-   exporter round-trips, measurement reset, the allocation-free disabled
-   path, and the perf-regression gate (library verdicts and the binary's
-   exit code on a synthetically regressed baseline). *)
+   exporter round-trips, measurement reset and the allocation-free disabled
+   path. *)
 
 open Oamem_engine
 open Oamem_core
@@ -285,135 +284,6 @@ let test_disabled_profiler_allocates_nothing () =
     (Printf.sprintf "no allocation when disabled (%.0f words)" allocated)
     true (allocated = 0.0)
 
-(* --- the perf-regression gate ---------------------------------------------- *)
-
-let bench_doc ~throughput ~p99 =
-  Json.Obj
-    [
-      ("experiment", Json.String "E1");
-      ( "results",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("scheme", Json.String "oa-ver");
-                ("threads", Json.Int 1);
-                ("throughput_mops", Json.Float throughput);
-                ( "profile",
-                  Json.Obj
-                    [
-                      ( "latencies",
-                        Json.List
-                          [
-                            Json.Obj
-                              [
-                                ("frame", Json.String "op.insert");
-                                ("p99", Json.Int p99);
-                              ];
-                            Json.Obj
-                              [
-                                (* non-op frames must not be gated *)
-                                ("frame", Json.String "alloc.malloc");
-                                ("p99", Json.Int (10 * p99));
-                              ];
-                          ] );
-                    ] );
-              ];
-          ] );
-    ]
-
-let test_perfgate_verdicts () =
-  let baseline = bench_doc ~throughput:10.0 ~p99:100 in
-  let same =
-    Perfgate.compare_results ~baseline ~current:(bench_doc ~throughput:10.0 ~p99:100) ()
-  in
-  check_bool "identical run passes" false (Perfgate.failed same);
-  check_int "throughput + one op p99 check" 2 (List.length same);
-  let slow =
-    Perfgate.compare_results ~baseline
-      ~current:(bench_doc ~throughput:8.0 ~p99:100)
-      ()
-  in
-  check_bool "20% throughput drop fails" true (Perfgate.failed slow);
-  let lat =
-    Perfgate.compare_results ~baseline
-      ~current:(bench_doc ~throughput:10.0 ~p99:200)
-      ()
-  in
-  check_bool "2x p99 fails" true (Perfgate.failed lat);
-  check_bool "the p99 verdict is the regressed one" true
-    (List.exists
-       (fun v -> v.Perfgate.regressed && v.Perfgate.metric = "p99:op.insert")
-       lat);
-  let within =
-    Perfgate.compare_results ~baseline
-      ~current:(bench_doc ~throughput:9.5 ~p99:110)
-      ()
-  in
-  check_bool "small drift passes" false (Perfgate.failed within);
-  let missing =
-    Perfgate.compare_results ~baseline
-      ~current:(Json.Obj [ ("results", Json.List []) ])
-      ()
-  in
-  check_bool "vanished config fails" true (Perfgate.failed missing);
-  check_bool "as a missing verdict" true
-    (List.exists (fun v -> v.Perfgate.metric = "missing") missing)
-
-let test_perfgate_tolerates_profileless_baseline () =
-  let old_baseline =
-    Json.Obj
-      [
-        ( "results",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("scheme", Json.String "oa-ver");
-                  ("threads", Json.Int 1);
-                  ("throughput_mops", Json.Float 10.0);
-                ];
-            ] );
-      ]
-  in
-  let verdicts =
-    Perfgate.compare_results ~baseline:old_baseline
-      ~current:(bench_doc ~throughput:10.0 ~p99:100)
-      ()
-  in
-  check_bool "throughput-only gating" false (Perfgate.failed verdicts);
-  check_int "no p99 checks without a baseline profile" 1
-    (List.length verdicts)
-
-(* The binary itself: regressed baseline => exit 1, --warn-only => exit 0.
-   Tests run in _build/default/test, the gate builds next door. *)
-let perfgate_exe = Filename.concat ".." (Filename.concat "bin" "perfgate.exe")
-
-let test_perfgate_binary_exit_code () =
-  if not (Sys.file_exists perfgate_exe) then
-    Alcotest.skip ()
-  else begin
-    let dump name doc =
-      let path = Filename.temp_file name ".json" in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      path
-    in
-    let base = dump "pg-base" (bench_doc ~throughput:10.0 ~p99:100) in
-    let bad = dump "pg-bad" (bench_doc ~throughput:5.0 ~p99:100) in
-    let run args =
-      Sys.command
-        (Filename.quote_command perfgate_exe args ~stdout:Filename.null)
-    in
-    check_int "regressed baseline exits non-zero" 1 (run [ base; bad ]);
-    check_int "warn-only exits zero" 0 (run [ base; bad; "--warn-only" ]);
-    check_int "clean comparison exits zero" 0 (run [ base; base ]);
-    Sys.remove base;
-    Sys.remove bad
-  end
-
 let () =
   Alcotest.run "profile"
     [
@@ -450,13 +320,5 @@ let () =
             test_reset_measurement_clears_profiler;
           Alcotest.test_case "disabled path allocates nothing" `Quick
             test_disabled_profiler_allocates_nothing;
-        ] );
-      ( "perfgate",
-        [
-          Alcotest.test_case "verdicts" `Quick test_perfgate_verdicts;
-          Alcotest.test_case "profile-less baseline" `Quick
-            test_perfgate_tolerates_profileless_baseline;
-          Alcotest.test_case "binary exit codes" `Quick
-            test_perfgate_binary_exit_code;
         ] );
     ]
