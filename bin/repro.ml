@@ -52,11 +52,17 @@ let full_arg =
   let doc = "Run figures at the paper's full scale (5K list, 1M hash)." in
   Arg.(value & flag & info [ "full" ] ~doc)
 
+(* Scheme names parse as an enum over the registry, like experiment ids
+   below, so a typo is a usage error listing the registered schemes rather
+   than an uncaught exception mid-run (or, for fuzz, an empty run). *)
+let scheme_conv =
+  Arg.enum (List.map (fun name -> (name, name)) Oamem_reclaim.Registry.names)
+
 let schemes_arg =
   let doc = "Comma-separated reclamation schemes to compare." in
   Arg.(
     value
-    & opt (list string) Oamem_reclaim.Registry.paper_methods
+    & opt (list scheme_conv) Oamem_reclaim.Registry.paper_methods
     & info [ "s"; "schemes" ] ~docv:"NAME,..." ~doc)
 
 let seed_arg =
@@ -319,7 +325,7 @@ let fuzz_cmd =
   let schemes_arg =
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some (list scheme_conv)) None
       & info [ "s"; "schemes" ] ~docv:"NAME,..."
           ~doc:"Restrict to these reclamation schemes.")
   in
@@ -426,7 +432,7 @@ let profile_cmd =
   let module Profile = Oamem_obs.Profile in
   let scheme_arg =
     Arg.(
-      value & opt string "oa-ver"
+      value & opt scheme_conv "oa-ver"
       & info [ "s"; "scheme" ] ~docv:"NAME" ~doc:"Reclamation scheme.")
   in
   let threads_arg =
@@ -598,7 +604,7 @@ let timeline_cmd =
   let module Export = Oamem_obs.Export in
   let scheme_arg =
     Arg.(
-      value & opt string "oa-ver"
+      value & opt scheme_conv "oa-ver"
       & info [ "s"; "scheme" ] ~docv:"NAME" ~doc:"Reclamation scheme.")
   in
   let threads_arg =

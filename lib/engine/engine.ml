@@ -26,47 +26,43 @@
      per step — so a scheduling decision is O(log runnable) instead of
      O(nthreads).
 
-   - Leader-tenure batching.  At a yield point the running thread compares
-     its own clock against the heap minimum.  If the thread would be
-     re-picked anyway (strictly earliest, ties to lowest tid), it charges
-     the request inline — no effect performed, no continuation switch, no
-     allocation — which is exactly what the scheduler would have done
-     before resuming it.  Rather than re-proving leadership per access, the
-     winning comparison is cached as a clock bound [tenure_until]: the
-     thread remains strict leader for every access that completes below
-     that bound, because heap keys only move between the explicit
-     invalidation points enumerated in [tenure_clear]'s callers (spawn,
-     reset_clocks, neutralization, plan/fusion changes, run entry) and the
-     thread itself only suspends once it is no longer leader.  The
-     steady-state access check is therefore a single integer compare.
-     Fences and events always re-validate against the live heap minimum
-     (refreshing the bound on success); the per-access profiler and
-     translation-cache checks stay dynamic.  The cost-model side effects
-     happen in the identical global order, so every simulated outcome
-     (clocks, cache and TLB state, stats, schedule) is byte-identical to
-     the slow path.  The fast path is disabled under
-     [Random_order]/[Scripted] (every yield is a scheduling decision
-     there), under a non-trivial fault plan (the plan is consulted at
-     scheduler yields), under [run ~max_steps] (steps are counted at
+   - Leader tenures.  Accesses, fences and events all go through one
+     [request] routine.  A thread the scheduler would re-pick anyway
+     (strictly earliest clock, ties to the lowest tid) commits its request
+     inline — no effect performed, no continuation switch, no allocation —
+     through the same [commit_req] the scheduler uses before resuming a
+     thread.  Leadership is proven against the live heap minimum once and
+     cached as a clock bound [tenure_until]: the thread stays strict leader
+     for every request issued below that bound, because heap keys only
+     move at the invalidation points enumerated in [tenure_clear]'s callers
+     (spawn, reset_clocks, neutralization and revocation posts, plan/fusion
+     changes, run entry) and the thread itself only suspends once it is no
+     longer leader.  The steady-state check is therefore a single integer
+     compare; the per-access profiler and translation-cache checks stay
+     dynamic.  The cost-model side effects happen in the identical global
+     order, so every simulated outcome (clocks, cache and TLB state, stats,
+     schedule) is byte-identical to the slow path.  The fast path is
+     disabled under [Random_order]/[Scripted] (every yield is a scheduling
+     decision there), under a non-trivial fault plan (the plan is consulted
+     at scheduler yields), under [run ~max_steps] (steps are counted at
      scheduler yields), and via {!set_fused} (differential testing).
 
-   - Run-ahead parking ({!set_runahead}).  A near-leader thread that fails
-     the leadership check would normally perform an effect and wait for the
-     scheduler to walk the other threads forward.  Instead, it parks: it
-     records its request in its slot, enters the heap as [Parked], and
-     drives the scheduler loop from its own stack frame ([drain]),
-     executing the other threads in exactly the order the outer loop would
-     have.  When it pops itself — it is now the scheduling minimum — it
-     commits the recorded request switch-free, mirroring the scheduler's
-     trivial-plan processing line by line (including neutralization
-     delivery).  If a fault plan appeared while parked, it bails to a real
-     effect so the plan is consulted at a true scheduler yield.  Only one
-     thread parks at a time ([parked]); threads woken inside a drain
-     suspend via the plain effect path.  Because the drained threads run in
-     the identical global order and the commit replays the scheduler's own
-     bookkeeping, parking is observationally identical to the slow path —
-     it only replaces two continuation switches per rotation with ordinary
-     function calls. *)
+   - Run-ahead parking.  A fused thread that loses leadership would
+     normally perform an effect and wait for the scheduler to walk the
+     other threads forward.  Instead, it parks: it records its request in
+     its slot, enters the heap as [Parked], and drives the scheduler loop
+     from its own stack frame ([drain]), executing the other threads in
+     exactly the order the outer loop would have.  When it pops itself — it
+     is now the scheduling minimum — it resolves its own yield with the
+     scheduler's routine ([resolve_yield]) and returns, or raises if a
+     neutralization signal was delivered.  If a fault plan appeared while
+     parked, it bails to a real effect so the plan is consulted at a true
+     scheduler yield.  Only one thread parks at a time ([parked]); threads
+     woken inside a drain suspend via the plain effect path.  Because the
+     drained threads run in the identical global order and the yield is
+     resolved by the scheduler's own code, parking is observationally
+     identical to the slow path — it only replaces two continuation
+     switches per rotation with ordinary function calls. *)
 
 type access_kind = Load | Store | Rmw
 type fence_kind = Full | Compiler
@@ -133,8 +129,7 @@ type t = {
   heap : int array;  (* runnable tids, binary min-heap on (clock, tid) *)
   hpos : int array;  (* tid -> heap index, -1 when not in the heap *)
   mutable hlen : int;
-  mutable fused : bool;  (* user toggle for the inline fast path *)
-  mutable runahead : bool;  (* user toggle for the parking tier *)
+  mutable fused : bool;  (* user toggle for the inline path and parking *)
   mutable inline_ok : bool;  (* set by [run]: fused && Min_clock && no cap *)
   mutable parked : int;  (* tid driving a drain from its own frame, or -1 *)
 }
@@ -146,8 +141,8 @@ and slot = {
   fstats : fault_stats;
   (* --- leader tenure --- *)
   mutable tenure_until : int;
-      (* the thread is a proven strict leader for any access completing
-         with [clock < tenure_until]; 0 = no tenure (revalidate) *)
+      (* the thread is a proven strict leader for any request issued with
+         [clock < tenure_until]; 0 = no tenure (re-prove on the next one) *)
   (* --- flattened suspended request --- *)
   mutable req_tag : int;
   mutable req_vpage : int;
@@ -223,7 +218,6 @@ let create ?(policy = Min_clock) ?(cost = Cost_model.opteron_6274)
       hpos = Array.make nthreads (-1);
       hlen = 0;
       fused = true;
-      runahead = true;
       inline_ok = false;
       parked = -1;
     }
@@ -329,20 +323,13 @@ let heap_rebuild t =
     done
   end
 
-(* True iff the running thread [tid] (not in the heap) would be re-picked
-   by the scheduler right now: its clock is strictly earliest, ties broken
-   to the lowest tid — the exact comparison the old linear scan made. *)
-let[@inline] still_leader t ~tid clock =
-  t.hlen = 0
-  ||
-  let u = Array.unsafe_get t.heap 0 in
-  let cu = (Array.unsafe_get t.slots u).clock in
-  clock < cu || (clock = cu && tid < u)
-
-(* Clock bound below which [tid] (running, not in the heap) stays strict
-   leader: [still_leader t ~tid c] holds for every [c < tenure_bound t ~tid].
-   With an empty heap there is no competitor, so the tenure is unbounded
-   (only {!tenure_clear} callers — spawn, neutralize, … — can end it). *)
+(* Clock bound below which the running thread [tid] (not in the heap) would
+   be re-picked by the scheduler right now: a clock [c] is strictly
+   earliest against the heap minimum, ties broken to the lowest tid — the
+   scheduler's own (clock, tid) comparison — exactly when
+   [c < tenure_bound t ~tid].  With an empty heap there is no competitor,
+   so the tenure is unbounded (only {!tenure_clear} callers — spawn,
+   neutralize, … — can end it). *)
 let[@inline] tenure_bound t ~tid =
   if t.hlen = 0 then max_int
   else begin
@@ -359,6 +346,8 @@ let[@inline] tenure_bound t ~tid =
    - [reset_clocks]: clocks (and therefore bounds) restart from zero;
    - [Mem.neutralize] (Posted): the victim's clock may be pulled back,
      and the victim itself must stop fusing so delivery can happen;
+   - [Mem.revoke] (Posted): the victim's flag precondition fails, and its
+     Store/Rmw commits change meaning (the squash latch);
    - [set_fused] / [set_fault_plan]: precondition changes. *)
 let tenure_clear t =
   let slots = t.slots in
@@ -416,26 +405,8 @@ let charge_flag_access t ~tid ~owner ~kind ~extra =
     then Oamem_obs.Profile.note_invalidation t.prof ~tid ~addr:paddr
   end
 
-let[@inline] charge_fence t kind =
-  match kind with
-  | Full ->
-      t.fences <- t.fences + 1;
-      t.cost.fence_full
-  | Compiler -> t.cost.fence_compiler
-
-let[@inline] charge_event t kind =
-  match kind with
-  | Minor_fault ->
-      t.faults <- t.faults + 1;
-      t.cost.minor_fault
-  | Syscall ->
-      t.syscalls <- t.syscalls + 1;
-      t.cost.syscall
-  | Pause -> t.cost.pause
-
-(* Cost of the request recorded in [slot]'s [req_*] fields. *)
-let cost_of_req t ~tid slot =
-  let tag = slot.req_tag in
+(* Cost of request [tag] (with operands [vpage]/[paddr] for an access). *)
+let[@inline] cost_of_req t ~tid slot ~tag ~vpage ~paddr =
   if tag <= tag_rmw then begin
     let kind =
       if tag = tag_load then Load else if tag = tag_store then Store else Rmw
@@ -443,18 +414,27 @@ let cost_of_req t ~tid slot =
     (* conditional access: a Store/Rmw committed with the accessible flag
        revoked (outside a masked section) performs no value mutation —
        [Cell]/[Vmem] consult [Mem.squashed] right after this commit.
-       Evaluated at commit time in both the scheduler and inline paths, so
-       the outcome is identical whichever path charged the request. *)
+       Evaluated at commit time, so the outcome is identical whichever
+       path committed the request. *)
     if kind <> Load then
       slot.squashed <-
         (not slot.accessible) && slot.masked = 0 && slot.exempt = 0;
-    charge_access t ~tid ~vpage:slot.req_vpage ~paddr:slot.req_paddr ~kind
+    charge_access t ~tid ~vpage ~paddr ~kind
   end
-  else if tag = tag_fence_full then charge_fence t Full
-  else if tag = tag_fence_compiler then charge_fence t Compiler
-  else if tag = tag_minor_fault then charge_event t Minor_fault
-  else if tag = tag_syscall then charge_event t Syscall
-  else charge_event t Pause
+  else if tag = tag_fence_full then begin
+    t.fences <- t.fences + 1;
+    t.cost.fence_full
+  end
+  else if tag = tag_fence_compiler then t.cost.fence_compiler
+  else if tag = tag_minor_fault then begin
+    t.faults <- t.faults + 1;
+    t.cost.minor_fault
+  end
+  else if tag = tag_syscall then begin
+    t.syscalls <- t.syscalls + 1;
+    t.cost.syscall
+  end
+  else t.cost.pause
 
 (* --- fault injection / observability wiring -------------------------------- *)
 
@@ -474,53 +454,40 @@ let set_fused t on =
   tenure_clear t
 
 let fused t = t.fused
-let set_runahead t on = t.runahead <- on
-let runahead t = t.runahead
 let fault_stats t ~tid = t.slots.(tid).fstats
 let crashed t ~tid = t.slots.(tid).fstats.crashed
 
 (* Total yield points executed (all threads, all phases): the engine's
    simulated step count, identical whether a yield went through the
-   scheduler, the fused inline path, or a parked commit.  The repository
-   benchmark reports steps per host second from this. *)
+   scheduler, the inline path, or a parked thread's resolution.  The
+   repository benchmark reports steps per host second from this. *)
 let steps t =
   Array.fold_left (fun acc s -> acc + s.fstats.yields) 0 t.slots
 
 (* --- scheduler core ------------------------------------------------------- *)
 
-(* Deliver the pending neutralization signal to [tid] at one of its yield
-   points: the handler runs before the victim's next instruction, so the
-   suspended access never executes (no cache/TLB side effect) and the
-   thread unwinds to its checkpoint.  Shared by the scheduler's blocked
-   path (followed by [discontinue]) and a parked commit (followed by a
-   plain [raise] — the victim is already running on this stack). *)
-let deliver_signal t ~tid slot =
-  slot.signal <- false;
-  slot.fstats.neutralized <- slot.fstats.neutralized + 1;
-  let cost = t.cost.neutralize_deliver in
-  slot.clock <- slot.clock + cost;
-  if Oamem_obs.Profile.enabled t.prof then
-    Oamem_obs.Profile.charge t.prof ~tid cost;
-  if Oamem_obs.Trace.enabled t.trace then
-    Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
-      Oamem_obs.Trace.Neutralized
-
-(* Commit the recorded request of a thread that became the scheduling
-   minimum: the scheduler's trivial-plan [Delay {stall = 0; jitter = 0}]
-   processing, minus the continuation switch (the owner is running). *)
-let commit_req t ~tid slot =
+(* Charge one request to its thread's clock: the cost-model update plus
+   [extra] injected cycles (fault-plan stall and jitter), attributed to the
+   innermost open profiler span, with any remote invalidation a Store/Rmw
+   triggered noted against the accessed address.  The one commit every path
+   shares — the scheduler resuming a blocked thread, a parked thread
+   surfacing from its drain, and the inline path — so all three charge
+   identically.  A suspended thread's span stack is untouched until it
+   resumes, so its innermost open span is the one that issued the
+   request. *)
+let[@inline] commit_req t ~tid slot ~tag ~vpage ~paddr ~extra =
   let profiling = Oamem_obs.Profile.enabled t.prof in
   let invs_before =
     if profiling then Hierarchy.remote_invalidations t.hierarchy else 0
   in
-  let cost = cost_of_req t ~tid slot in
+  let cost = cost_of_req t ~tid slot ~tag ~vpage ~paddr + extra in
   slot.clock <- slot.clock + cost;
   if profiling then begin
     Oamem_obs.Profile.charge t.prof ~tid cost;
     if
-      (slot.req_tag = tag_store || slot.req_tag = tag_rmw)
+      (tag = tag_store || tag = tag_rmw)
       && Hierarchy.remote_invalidations t.hierarchy > invs_before
-    then Oamem_obs.Profile.note_invalidation t.prof ~tid ~addr:slot.req_paddr
+    then Oamem_obs.Profile.note_invalidation t.prof ~tid ~addr:paddr
   end
 
 let start_thread t slot f =
@@ -549,6 +516,56 @@ let start_thread t slot f =
           | _ -> None);
     }
 
+type resolution = Resume | Deliver | Killed
+
+(* Resolve the yield of a thread that became the scheduling minimum with
+   its request recorded in its slot.  Shared by [step], which continues or
+   discontinues the thread's continuation, and [park], which returns or
+   raises on the thread's own stack.  Count the yield; then deliver a
+   pending neutralization signal instead of the request — the handler runs
+   before the victim's next instruction, so the request never executes (no
+   cache/TLB side effect), and the yield bypasses the fault plan, since the
+   handler rather than user code runs here; otherwise consult the plan and
+   commit the request plus any injected stall and jitter. *)
+let resolve_yield t ~tid slot =
+  let fs = slot.fstats in
+  fs.yields <- fs.yields + 1;
+  if slot.signal && slot.checkpoint && slot.masked = 0 then begin
+    slot.signal <- false;
+    fs.neutralized <- fs.neutralized + 1;
+    let cost = t.cost.neutralize_deliver in
+    slot.clock <- slot.clock + cost;
+    if Oamem_obs.Profile.enabled t.prof then
+      Oamem_obs.Profile.charge t.prof ~tid cost;
+    if Oamem_obs.Trace.enabled t.trace then
+      Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
+        Oamem_obs.Trace.Neutralized;
+    Deliver
+  end
+  else
+    match Fault_plan.on_yield t.plan ~tid ~yield:fs.yields with
+    | Fault_plan.Kill ->
+        (* fail-stop: the continuation is dropped, the slot never resumes *)
+        fs.crashed <- true;
+        slot.pending <- Crashed;
+        if Oamem_obs.Trace.enabled t.trace then
+          Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
+            Oamem_obs.Trace.Crash;
+        Killed
+    | Fault_plan.Delay { stall; jitter } ->
+        if stall > 0 then begin
+          fs.stalls_injected <- fs.stalls_injected + 1;
+          fs.stall_cycles <- fs.stall_cycles + stall;
+          if Oamem_obs.Trace.enabled t.trace then
+            Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
+              (Oamem_obs.Trace.Stall { cycles = stall })
+        end;
+        if jitter > 0 then fs.jitter_cycles <- fs.jitter_cycles + jitter;
+        commit_req t ~tid slot ~tag:slot.req_tag ~vpage:slot.req_vpage
+          ~paddr:slot.req_paddr ~extra:(stall + jitter);
+        if stall > 0 then slot.stalled_until <- slot.clock;
+        Resume
+
 (* Process one scheduling decision for [tid] (already popped from the
    heap / chosen by the scan).  Factored out of [run] so a parked thread's
    [drain] loop can execute other threads exactly as the outer loop would. *)
@@ -564,70 +581,15 @@ let step t tid =
          raise e)
   | Blocked k -> (
       slot.pending <- Idle;
-      let fs = slot.fstats in
-      fs.yields <- fs.yields + 1;
-      if slot.signal && slot.checkpoint && slot.masked = 0 then begin
-        (* Deliver the pending neutralization signal instead of the
-           blocked request.  This yield bypasses the fault plan — the
-           signal handler, not user code, runs at this point. *)
-        deliver_signal t ~tid slot;
-        try Effect.Deep.discontinue k Neutralized
-        with e ->
-          slot.pending <- Idle;
-          raise e
-      end
-      else if Fault_plan.is_trivial t.plan then begin
-        (* trivial plan: [on_yield] is the constant [Delay {stall = 0;
-           jitter = 0}], so this is the Delay branch below with the zero
-           stall/jitter arms folded away — the scheduler's hottest line *)
-        commit_req t ~tid slot;
-        try Effect.Deep.continue k ()
-        with e ->
-          slot.pending <- Idle;
-          raise e
-      end
-      else
-        match Fault_plan.on_yield t.plan ~tid ~yield:fs.yields with
-        | Fault_plan.Kill ->
-            (* fail-stop: drop the continuation, never resume the slot *)
-            fs.crashed <- true;
-            slot.pending <- Crashed;
-            if Oamem_obs.Trace.enabled t.trace then
-              Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
-                Oamem_obs.Trace.Crash
-        | Fault_plan.Delay { stall; jitter } ->
-            if stall > 0 then begin
-              fs.stalls_injected <- fs.stalls_injected + 1;
-              fs.stall_cycles <- fs.stall_cycles + stall;
-              if Oamem_obs.Trace.enabled t.trace then
-                Oamem_obs.Trace.emit t.trace ~tid ~at:slot.clock
-                  (Oamem_obs.Trace.Stall { cycles = stall })
-            end;
-            if jitter > 0 then fs.jitter_cycles <- fs.jitter_cycles + jitter;
-            let profiling = Oamem_obs.Profile.enabled t.prof in
-            let invs_before =
-              if profiling then Hierarchy.remote_invalidations t.hierarchy
-              else 0
-            in
-            let cost = cost_of_req t ~tid slot + stall + jitter in
-            slot.clock <- slot.clock + cost;
-            if stall > 0 then slot.stalled_until <- slot.clock;
-            if profiling then begin
-              (* the yielding thread's span stack is untouched until its
-                 continuation resumes, so the innermost open span is the
-                 one that issued this request *)
-              Oamem_obs.Profile.charge t.prof ~tid cost;
-              if
-                (slot.req_tag = tag_store || slot.req_tag = tag_rmw)
-                && Hierarchy.remote_invalidations t.hierarchy > invs_before
-              then
-                Oamem_obs.Profile.note_invalidation t.prof ~tid
-                  ~addr:slot.req_paddr
-            end;
-            (try Effect.Deep.continue k ()
-             with e ->
-               slot.pending <- Idle;
-               raise e))
+      let r = resolve_yield t ~tid slot in
+      try
+        match r with
+        | Resume -> Effect.Deep.continue k ()
+        | Deliver -> Effect.Deep.discontinue k Neutralized
+        | Killed -> ()
+      with e ->
+        slot.pending <- Idle;
+        raise e)
 
 (* Run other threads, in exact scheduler order, until the parked thread
    [tid] itself surfaces as the heap minimum (its pop ends the drain and
@@ -643,12 +605,13 @@ let rec drain t tid =
    enters the heap as [Parked] and drives the scheduler from its own frame.
    Preconditions (checked by [suspend]): mid-[run] under [Min_clock] with
    no step cap, trivial fault plan, no pending signal, no other parked
-   thread.  On self-pop it replays the scheduler's processing of its own
-   yield: count the step, deliver a signal posted while parked (plain raise
-   — we are on the victim's stack), otherwise charge the recorded request.
-   If a fault plan was installed while parked, bail to a real effect
-   without counting the step — the scheduler will count it and consult the
-   plan; delivery order is unaffected because delivery bypasses the plan. *)
+   thread.  On self-pop it resolves its own yield exactly as [step] would,
+   raising instead of discontinuing when a signal posted while it was
+   parked is delivered (it is already running on the victim's stack).  If
+   a fault plan was installed while parked, it bails to a real effect
+   without counting the yield — the scheduler will count it and consult the
+   plan; delivery order is unaffected because delivery bypasses the plan.
+   (Only a non-trivial plan kills, so a parked resolution never does.) *)
 let park t ~tid slot =
   slot.pending <- Parked;
   t.parked <- tid;
@@ -656,30 +619,56 @@ let park t ~tid slot =
   drain t tid;
   t.parked <- -1;
   slot.pending <- Idle;
-  if Fault_plan.is_trivial t.plan then begin
-    let fs = slot.fstats in
-    fs.yields <- fs.yields + 1;
-    if slot.signal && slot.checkpoint && slot.masked = 0 then begin
-      deliver_signal t ~tid slot;
-      raise Neutralized
-    end
-    else commit_req t ~tid slot
-  end
+  if Fault_plan.is_trivial t.plan then
+    match resolve_yield t ~tid slot with
+    | Resume -> ()
+    | Deliver -> raise Neutralized
+    | Killed -> assert false
   else Effect.perform Yield
 
-(* Slow-path suspension for a request already recorded in the slot: park if
-   the run-ahead tier applies, otherwise perform the effect.  Clearing the
-   owner's tenure keeps the invariant that a suspended thread always
-   revalidates on resume (its cached bound is stale by construction: it
-   suspends precisely because it is no longer leader). *)
-let suspend t ~tid slot =
+(* Suspension for a request the thread cannot commit inline: record it in
+   the slot, then park if the fused engine allows it, otherwise perform the
+   effect.  Clearing the owner's tenure keeps the invariant that a
+   suspended thread re-proves leadership on resume (its cached bound is
+   stale by construction: it suspends precisely because it is no longer
+   leader). *)
+let suspend t ~tid slot ~tag ~vpage ~paddr =
+  slot.req_tag <- tag;
+  slot.req_vpage <- vpage;
+  slot.req_paddr <- paddr;
   slot.tenure_until <- 0;
   if
-    t.runahead && t.parked < 0 && t.inline_ok
+    t.parked < 0 && t.inline_ok
     && Fault_plan.is_trivial t.plan
     && not slot.signal
   then park t ~tid slot
   else Effect.perform Yield
+
+(* The one request path for accesses, fences and events.  Below its tenure
+   bound the thread is the proven strict scheduling leader, so the
+   scheduler would re-pick it at once: the request is counted as a yield
+   and committed inline, exactly as [resolve_yield] commits it under the
+   trivial plan with no signal pending.  Once the clock reaches the bound,
+   the fast-path preconditions are re-proved once and the bound re-derived
+   from the live heap minimum.  A pending neutralization signal fails the
+   proof, since delivery happens only at scheduler yields; a revoked flag
+   fails it too, so the revoked thread stays off the inline path until it
+   re-grants its own flag, mirroring a posted signal. *)
+let[@inline] request t ~tid slot ~tag ~vpage ~paddr =
+  if
+    slot.clock < slot.tenure_until
+    || t.inline_ok
+       && Fault_plan.is_trivial t.plan
+       && (not slot.signal)
+       && slot.accessible
+       &&
+       (slot.tenure_until <- tenure_bound t ~tid;
+        slot.clock < slot.tenure_until)
+  then begin
+    slot.fstats.yields <- slot.fstats.yields + 1;
+    commit_req t ~tid slot ~tag ~vpage ~paddr ~extra:0
+  end
+  else suspend t ~tid slot ~tag ~vpage ~paddr
 
 (* --- Mem: the fused per-thread memory-access interface --------------------- *)
 
@@ -719,117 +708,44 @@ module Mem = struct
         if Oamem_obs.Profile.enabled t.prof then
           Oamem_obs.Profile.note_cas_failure t.prof ~tid:c.tid ~addr
 
-  (* The inline fast path.  [revalidate] checks the full preconditions
-     against the live heap; a passing check is cached as a tenure bound so
-     the steady state needs only the [clock < tenure_until] compare.  The
-     bookkeeping mirrors the scheduler's yield processing line by line. *)
-
-  let[@inline] finish_inline t ~tid slot cost =
-    slot.clock <- slot.clock + cost;
-    if Oamem_obs.Profile.enabled t.prof then
-      Oamem_obs.Profile.charge t.prof ~tid cost
-
-  let[@inline] revalidate t ~tid slot =
-    t.inline_ok
-    && Fault_plan.is_trivial t.plan
-    (* a pending neutralization signal forces the slow path: delivery
-       happens only at scheduler yields, so the leader must stop fusing.
-       A pending revocation does the same — the revoked thread leaves the
-       inline path until it re-grants its own flag, mirroring the posted
-       signal *)
-    && (not slot.signal)
-    && slot.accessible
-    && still_leader t ~tid slot.clock
-
-  let inline_access t ~tid slot ~vpage ~paddr ~kind =
-    let fs = slot.fstats in
-    fs.yields <- fs.yields + 1;
-    (* same commit-time squash evaluation as [cost_of_req] *)
-    if kind <> Load then
-      slot.squashed <-
-        (not slot.accessible) && slot.masked = 0 && slot.exempt = 0;
-    if Oamem_obs.Profile.enabled t.prof then begin
-      let invs_before = Hierarchy.remote_invalidations t.hierarchy in
-      let cost = charge_access t ~tid ~vpage ~paddr ~kind in
-      slot.clock <- slot.clock + cost;
-      Oamem_obs.Profile.charge t.prof ~tid cost;
-      match kind with
-      | (Store | Rmw)
-        when Hierarchy.remote_invalidations t.hierarchy > invs_before ->
-          Oamem_obs.Profile.note_invalidation t.prof ~tid ~addr:paddr
-      | _ -> ()
-    end
-    else begin
-      let cost = charge_access t ~tid ~vpage ~paddr ~kind in
-      slot.clock <- slot.clock + cost
-    end
-
   let access (c : ctx) ~vpage ~paddr ~kind =
     match c.eng with
     | None -> ()
     | Some t ->
         let tid = c.tid in
-        let slot = Array.unsafe_get t.slots tid in
-        if slot.clock < slot.tenure_until then
-          (* mid-tenure: leadership is proven through the bound *)
-          inline_access t ~tid slot ~vpage ~paddr ~kind
-        else if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
-          inline_access t ~tid slot ~vpage ~paddr ~kind
-        end
-        else begin
-          slot.req_tag <-
+        request t ~tid
+          (Array.unsafe_get t.slots tid)
+          ~tag:
             (match kind with
             | Load -> tag_load
             | Store -> tag_store
-            | Rmw -> tag_rmw);
-          slot.req_vpage <- vpage;
-          slot.req_paddr <- paddr;
-          suspend t ~tid slot
-        end
-
-  (* Fences and events always revalidate against the live heap minimum —
-     they are the tenure re-validation points — but a passing check still
-     refreshes the bound for the accesses that follow. *)
+            | Rmw -> tag_rmw)
+          ~vpage ~paddr
 
   let fence (c : ctx) kind =
     match c.eng with
     | None -> ()
     | Some t ->
         let tid = c.tid in
-        let slot = t.slots.(tid) in
-        if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
-          slot.fstats.yields <- slot.fstats.yields + 1;
-          finish_inline t ~tid slot (charge_fence t kind)
-        end
-        else begin
-          slot.req_tag <-
+        request t ~tid t.slots.(tid)
+          ~tag:
             (match kind with
             | Full -> tag_fence_full
-            | Compiler -> tag_fence_compiler);
-          suspend t ~tid slot
-        end
+            | Compiler -> tag_fence_compiler)
+          ~vpage:(-1) ~paddr:0
 
   let event (c : ctx) kind =
     match c.eng with
     | None -> ()
     | Some t ->
         let tid = c.tid in
-        let slot = t.slots.(tid) in
-        if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
-          slot.fstats.yields <- slot.fstats.yields + 1;
-          finish_inline t ~tid slot (charge_event t kind)
-        end
-        else begin
-          slot.req_tag <-
+        request t ~tid t.slots.(tid)
+          ~tag:
             (match kind with
             | Minor_fault -> tag_minor_fault
             | Syscall -> tag_syscall
-            | Pause -> tag_pause);
-          suspend t ~tid slot
-        end
+            | Pause -> tag_pause)
+          ~vpage:(-1) ~paddr:0
 
   let pause (c : ctx) = event c Pause
 
@@ -927,7 +843,8 @@ module Mem = struct
             else begin
               vslot.signal <- true;
               (* the pullback below can lower a heap key, and the victim
-                 must revalidate (and stop fusing) before its next access *)
+                 must re-prove its preconditions (and stop fusing) before
+                 its next request *)
               tenure_clear t;
               let now = t.slots.(c.tid).clock in
               if vslot.stalled_until > now && vslot.clock > now then begin
@@ -975,8 +892,8 @@ module Mem = struct
      store).  No yield: like a neutralization post, the revocation is
      atomic under every policy.  A pending revocation clears every cached
      leader tenure, exactly like a posted neutralization — the victim must
-     revalidate (and fail, staying off the fused path) before its next
-     access.  Unlike neutralize there is no stall pullback: immediate
+     re-prove its preconditions (and fail, staying off the fused path)
+     before its next request.  Unlike neutralize there is no stall pullback: immediate
      reclamation does not wait for the laggard; its next conditional access
      or squashed store restarts it whenever it wakes. *)
   let revoke (c : ctx) ~victim =

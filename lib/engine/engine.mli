@@ -257,33 +257,23 @@ val profile : t -> Oamem_obs.Profile.t
 (** {2 Fused fast path} *)
 
 val set_fused : t -> bool -> unit
-(** Enable/disable the inline fast path (default enabled).  With it
-    disabled every yield goes through the scheduler exactly as the
-    pre-fusion engine did — the differential tests run both ways and
-    assert byte-identical simulated results.
+(** Enable/disable the inline fast path and run-ahead parking (default
+    enabled).  With it disabled every yield goes through the scheduler
+    exactly as the pre-fusion engine did — the differential tests run both
+    ways and assert byte-identical simulated results.
 
-    When enabled, a passing leadership check is cached as a {e leader
-    tenure}: a clock bound below which the thread provably remains the
-    strict scheduling leader, so steady-state accesses cost one integer
-    compare instead of a heap inspection.  Fences and events always
-    revalidate against the live heap minimum; spawn, [reset_clocks],
-    neutralization posts and plan/fusion changes drop every cached tenure.
-    See DESIGN.md "Leader tenures" for the proof obligations. *)
+    When enabled, accesses, fences and events share one {e leader tenure}:
+    a clock bound, proven once against the live heap minimum, below which
+    the thread remains the strict scheduling leader, so a steady-state
+    request costs one integer compare and commits without a context switch.
+    A thread that loses leadership parks in the scheduler's heap and drives
+    the other threads forward from its own stack frame, then resolves its
+    own yield exactly as the scheduler would.  Spawn, [reset_clocks],
+    neutralization and revocation posts, and plan/fusion changes drop every
+    cached tenure.  See DESIGN.md "Leader tenures" for the proof
+    obligations. *)
 
 val fused : t -> bool
-
-val set_runahead : t -> bool -> unit
-(** Enable/disable the run-ahead parking tier of the fused path (default
-    enabled; only active while {!fused} is).  A near-leader thread that
-    fails the leadership check parks in the scheduler's heap and drives
-    the other threads forward from its own stack frame, committing its
-    recorded request without a continuation switch once it surfaces as the
-    scheduling minimum.  Observationally identical to suspending through
-    an effect — the drained threads run in the same global order and the
-    commit replays the scheduler's own bookkeeping — and proven so by the
-    differential tests; the toggle exists for exactly that comparison. *)
-
-val runahead : t -> bool
 
 val steps : t -> int
 (** Total yield points executed across all threads and phases (scheduler

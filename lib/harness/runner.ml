@@ -34,10 +34,6 @@ type spec = {
       (* engine inline fast path + vmem translation cache; off = the
          pre-fusion slow path (the differential tests' baseline —
          simulated results are identical either way) *)
-  runahead : bool;
-      (* run-ahead parking tier of the fused path; only meaningful with
-         [fused] — kept separate so the differential tests can compare
-         tenure-only against tenure + parking *)
 }
 
 let default_spec =
@@ -57,7 +53,6 @@ let default_spec =
     trace = false;
     profile = false;
     fused = true;
-    runahead = true;
   }
 
 type result = {
@@ -119,7 +114,6 @@ let make_system spec =
 
 let apply_fusion sys spec =
   Engine.set_fused (System.engine sys) spec.fused;
-  Engine.set_runahead (System.engine sys) (spec.fused && spec.runahead);
   Oamem_vmem.Vmem.set_translation_cache (System.vmem sys) spec.fused
 
 let build_target sys spec =

@@ -30,10 +30,6 @@ type spec = {
       (** engine inline fast path + vmem translation cache (default [true]);
           [false] runs the pre-fusion slow path — simulated results are
           identical either way, only host speed differs *)
-  runahead : bool;
-      (** run-ahead parking tier of the fused path (default [true]); only
-          meaningful with [fused] — separate so differentials can compare
-          tenure-only against tenure + parking *)
 }
 
 val default_spec : spec

@@ -104,12 +104,12 @@ let test_runner_differential () =
         = Json.to_string (Export.metrics_json f.Runner.metrics)))
     (List.concat_map (fun scheme -> [ (scheme, 1); (scheme, 4) ]) Registry.names)
 
-(* IMR leans on the two conditional-access engine paths that have fused-tier
-   fast copies — revocation posts (tenure teardown) and the squash latch on
-   Store/Rmw commits — so its runs must be byte-identical across all three
-   modes: slow path, fused tenure-only, fused + run-ahead parking. *)
-let test_imr_tri_modal_identity () =
-  let spec ~fused ~runahead =
+(* IMR leans on the two conditional-access engine paths the fused engine
+   must honour — revocation posts (tenure teardown) and the squash latch on
+   Store/Rmw commits — so its fused runs must be byte-identical to the slow
+   path. *)
+let test_imr_fused_identity () =
+  let spec ~fused =
     {
       Runner.default_spec with
       Runner.scheme = "imr";
@@ -120,35 +120,28 @@ let test_imr_tri_modal_identity () =
       threshold = 16;
       sb_pages = 4;
       fused;
-      runahead;
     }
   in
-  let slow = Runner.run (spec ~fused:false ~runahead:false) in
+  let slow = Runner.run (spec ~fused:false) in
   let cond_fails = Metrics.find slow.Runner.metrics "scheme.cond_fails" in
   check_bool "the workload exercises conditional-access failures" true
     (cond_fails > 0);
-  List.iter
-    (fun (mode, r) ->
-      let name what = Printf.sprintf "imr %s: %s identical" mode what in
-      check_int (name "ops") slow.Runner.ops r.Runner.ops;
-      check_bool (name "throughput") true
-        (slow.Runner.throughput_mops = r.Runner.throughput_mops);
-      check_int (name "steps") slow.Runner.host_steps r.Runner.host_steps;
-      check_bool (name "metrics") true
-        (Json.to_string (Export.metrics_json slow.Runner.metrics)
-        = Json.to_string (Export.metrics_json r.Runner.metrics)))
-    [
-      ("tenure-only", Runner.run (spec ~fused:true ~runahead:false));
-      ("run-ahead", Runner.run (spec ~fused:true ~runahead:true));
-    ]
+  let fused = Runner.run (spec ~fused:true) in
+  let name what = Printf.sprintf "imr fused: %s identical" what in
+  check_int (name "ops") slow.Runner.ops fused.Runner.ops;
+  check_bool (name "throughput") true
+    (slow.Runner.throughput_mops = fused.Runner.throughput_mops);
+  check_int (name "steps") slow.Runner.host_steps fused.Runner.host_steps;
+  check_bool (name "metrics") true
+    (Json.to_string (Export.metrics_json slow.Runner.metrics)
+    = Json.to_string (Export.metrics_json fused.Runner.metrics))
 
 (* --- tenure differentials -------------------------------------------------- *)
 
-(* The leader-tenure and run-ahead parking tiers must be observationally
-   invisible: every scenario below runs under the three engine modes —
-   slow path, fused tenure-only, fused + run-ahead parking — and the
-   simulated outcome (clocks, yields, fault accounting, cache/TLB state)
-   must be byte-identical across all three. *)
+(* Leader tenures and run-ahead parking must be observationally invisible:
+   every scenario below runs fused and on the slow path, and the simulated
+   outcome (clocks, yields, fault accounting, cache/TLB state) must be
+   byte-identical across the two. *)
 
 let assert_sim_equal label ~nthreads (expected : Engine.t) (got : Engine.t) =
   for tid = 0 to nthreads - 1 do
@@ -177,40 +170,51 @@ let assert_sim_equal label ~nthreads (expected : Engine.t) (got : Engine.t) =
 (* [build ()] creates an engine and spawns its threads; each mode gets a
    fresh instance.  Returns the slow-path engine for scenario-specific
    assertions (e.g. that the fault being tested actually fired). *)
-let tri_modal label ~nthreads build =
-  let under ~fused ~runahead =
+let fused_vs_slow label ~nthreads build =
+  let under ~fused =
     let eng = build () in
     Engine.set_fused eng fused;
-    Engine.set_runahead eng runahead;
     Engine.run eng;
     eng
   in
-  let slow = under ~fused:false ~runahead:false in
-  let tenure_only = under ~fused:true ~runahead:false in
-  let full = under ~fused:true ~runahead:true in
-  assert_sim_equal (label ^ " (tenure-only vs slow)") ~nthreads slow
-    tenure_only;
-  assert_sim_equal (label ^ " (run-ahead vs slow)") ~nthreads slow full;
+  let slow = under ~fused:false in
+  assert_sim_equal (label ^ " (fused vs slow)") ~nthreads slow
+    (under ~fused:true);
   slow
 
 (* A cheap streaming thread against an expensive rival: thread 0's clock
    repeatedly crosses its tenure bound (thread 1's suspension clock + 1),
-   forcing mid-stream revalidation, parking and leadership handoff in both
-   directions. *)
+   forcing mid-stream re-proofs, parking and leadership handoff in both
+   directions.  Thread 0 interleaves fences and pauses, which share the
+   accesses' tenure, so some crossings happen at a fence or a pause.  After
+   each one it reads how many Rmws thread 1 has completed and charges
+   cycles by it, so a fence or pause committed out of clock order moves
+   thread 0's clock. *)
 let test_leader_overtaken_mid_tenure () =
   let build () =
     let eng = Engine.create ~nthreads:2 () in
+    let rmws = ref 0 in
+    let observe ctx = Engine.Mem.charge ctx (1 + (!rmws land 7)) in
     Engine.spawn eng ~tid:0 (fun ctx ->
-        for _ = 1 to 600 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load
+        for i = 1 to 600 do
+          Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load;
+          if i mod 3 = 0 then begin
+            Engine.Mem.fence ctx Engine.Full;
+            observe ctx
+          end;
+          if i mod 5 = 0 then begin
+            Engine.Mem.pause ctx;
+            observe ctx
+          end
         done);
     Engine.spawn eng ~tid:1 (fun ctx ->
         for i = 1 to 60 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw
+          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+          incr rmws
         done);
     eng
   in
-  ignore (tri_modal "overtake" ~nthreads:2 build)
+  ignore (fused_vs_slow "overtake" ~nthreads:2 build)
 
 (* A neutralization posted against a tenure-holding victim: the Posted
    branch may pull the victim's clock back, so every live tenure bound is
@@ -241,7 +245,7 @@ let test_neutralize_breaks_tenure () =
         done);
     eng
   in
-  let slow = tri_modal "neutralize" ~nthreads:3 build in
+  let slow = fused_vs_slow "neutralize" ~nthreads:3 build in
   check_int "victim was neutralized once" 1
     (Engine.fault_stats slow ~tid:0).Engine.neutralized
 
@@ -274,7 +278,7 @@ let test_revoke_breaks_tenure () =
         done);
     eng
   in
-  ignore (tri_modal "revoke" ~nthreads:3 build)
+  ignore (fused_vs_slow "revoke" ~nthreads:3 build)
 
 (* reset_clocks issued from inside a running thread, mid-tenure: bounds are
    absolute clock values, so a reset that zeroes the clocks but kept the
@@ -294,13 +298,13 @@ let test_reset_clocks_mid_tenure () =
         done);
     eng
   in
-  ignore (tri_modal "reset mid-tenure" ~nthreads:2 build)
+  ignore (fused_vs_slow "reset mid-tenure" ~nthreads:2 build)
 
 (* A fault plan installed mid-run while the fused engine is deep in a
-   tenure (and, under run-ahead, while a thread is parked): the flip must
-   tear down the tenure and the parked thread must fall back to the
-   scheduler without its bail counting as an extra yield, so the stall
-   lands on exactly the same yield as on the slow path. *)
+   tenure and a thread is parked: the flip must tear down the tenure and
+   the parked thread must fall back to the scheduler without its bail
+   counting as an extra yield, so the stall lands on exactly the same
+   yield as on the slow path. *)
 let test_plan_flip_mid_tenure () =
   let build () =
     let eng = Engine.create ~nthreads:2 () in
@@ -321,7 +325,7 @@ let test_plan_flip_mid_tenure () =
         done);
     eng
   in
-  let slow = tri_modal "plan flip" ~nthreads:2 build in
+  let slow = fused_vs_slow "plan flip" ~nthreads:2 build in
   let fs = Engine.fault_stats slow ~tid:0 in
   check_int "stall fired after the flip" 1 fs.Engine.stalls_injected;
   check_int "stall cycles charged" 9_000 fs.Engine.stall_cycles
@@ -453,6 +457,8 @@ let test_reset_measurement_flushes_translation_cache () =
 
 (* --- allocation-free fast path --------------------------------------------- *)
 
+(* Accesses, fences and events share the inline path, so all three are in
+   the measured loop. *)
 let test_fused_access_allocates_nothing () =
   let eng = Engine.create ~nthreads:1 () in
   let words = ref 0.0 in
@@ -461,12 +467,15 @@ let test_fused_access_allocates_nothing () =
       Engine.Mem.access ctx ~vpage:0 ~paddr:42 ~kind:Engine.Load;
       let before = Gc.minor_words () in
       for _ = 1 to 10_000 do
-        Engine.Mem.access ctx ~vpage:0 ~paddr:42 ~kind:Engine.Load
+        Engine.Mem.access ctx ~vpage:0 ~paddr:42 ~kind:Engine.Load;
+        Engine.Mem.fence ctx Engine.Full;
+        Engine.Mem.pause ctx
       done;
       words := Gc.minor_words () -. before);
   Engine.run eng;
   check_bool
-    (Printf.sprintf "inline access path allocates nothing (%.0f words)" !words)
+    (Printf.sprintf
+       "inline access/fence/pause path allocates nothing (%.0f words)" !words)
     true (!words = 0.0)
 
 (* The inline path must stay allocation-free under a *finite* tenure too:
@@ -524,8 +533,8 @@ let () =
             test_engine_differential;
           Alcotest.test_case "runner: fused = slow path" `Quick
             test_runner_differential;
-          Alcotest.test_case "runner: imr identical across all three modes"
-            `Quick test_imr_tri_modal_identity;
+          Alcotest.test_case "runner: imr fused = slow path" `Quick
+            test_imr_fused_identity;
         ] );
       ( "tenure",
         [

@@ -234,13 +234,17 @@ let test_experiments_registry () =
        ^ ")"))
     (fun () -> ignore (Experiments.find "nope"))
 
-(* The CLI turns an unknown id into a usage error naming the known ids, not
-   an uncaught exception.  Tests run in _build/default/test; the binary
-   builds next door. *)
+(* The CLI turns an unknown experiment id or scheme name into a usage error
+   naming the known ones, not an uncaught exception or a silent empty run.
+   Tests run in _build/default/test; the binary builds next door. *)
 let test_repro_unknown_id () =
   let repro = Filename.concat ".." (Filename.concat "bin" "repro.exe") in
+  let ids =
+    List.map (fun (e : Experiments.t) -> e.Experiments.id) Experiments.all
+  in
+  let schemes = Oamem_reclaim.Registry.names in
   List.iter
-    (fun args ->
+    (fun (args, known) ->
       let err = Filename.temp_file "repro" ".err" in
       let code =
         Sys.command
@@ -260,13 +264,20 @@ let test_repro_unknown_id () =
       check_bool (cmd ^ ": not an uncaught exception") false
         (code = 125 || contains "internal error");
       List.iter
-        (fun (e : Experiments.t) ->
-          check_bool
-            (cmd ^ ": lists " ^ e.Experiments.id)
-            true
-            (contains ("'" ^ e.Experiments.id ^ "'")))
-        Experiments.all)
-    [ [ "run"; "bogus" ]; [ "sweep"; "fig4a"; "bogus" ] ]
+        (fun name ->
+          check_bool (cmd ^ ": lists " ^ name) true
+            (contains ("'" ^ name ^ "'")))
+        known)
+    [
+      ([ "run"; "bogus" ], ids);
+      ([ "sweep"; "fig4a"; "bogus" ], ids);
+      ([ "run"; "fig5a"; "--quick"; "-s"; "nosuch" ], schemes);
+      ([ "all"; "--quick"; "-s"; "nosuch" ], schemes);
+      ([ "sweep"; "fig5a"; "--quick"; "-s"; "nosuch" ], schemes);
+      ([ "fuzz"; "--max-runs"; "2"; "-s"; "nosuch" ], schemes);
+      ([ "profile"; "-s"; "nosuch" ], schemes);
+      ([ "timeline"; "-s"; "nosuch" ], schemes);
+    ]
 
 let test_small_experiment_runs () =
   (* dwcas-leak is the cheapest full experiment: run it end to end *)
