@@ -14,18 +14,29 @@ open Cmdliner
 open Oamem_harness
 module Explore = Oamem_engine.Explore
 
+(* Thread counts, horizons, sizes and windows parse as positive integers,
+   so a zero is a usage error naming the option rather than an uncaught
+   exception mid-run or a run that measures nothing. *)
+let positive =
+  Arg.conv
+    ( Arg.parser_of_kind_of_string ~kind:"a positive integer" (fun s ->
+          match int_of_string_opt s with
+          | Some n when n > 0 -> Some n
+          | _ -> None),
+      Format.pp_print_int )
+
 let threads_arg =
   let doc = "Comma-separated simulated thread counts." in
   Arg.(
     value
-    & opt (list int) Experiments.default_config.Experiments.threads
+    & opt (list positive) Experiments.default_config.Experiments.threads
     & info [ "t"; "threads" ] ~docv:"N,N,..." ~doc)
 
 let horizon_arg =
   let doc = "Measured window per thread, in simulated cycles." in
   Arg.(
     value
-    & opt int Experiments.default_config.Experiments.horizon_cycles
+    & opt positive Experiments.default_config.Experiments.horizon_cycles
     & info [ "horizon" ] ~docv:"CYCLES" ~doc)
 
 let fig4_arg =
@@ -35,7 +46,7 @@ let fig4_arg =
   in
   Arg.(
     value
-    & opt int Experiments.default_config.Experiments.fig4_size
+    & opt positive Experiments.default_config.Experiments.fig4_size
     & info [ "fig4-size" ] ~docv:"N" ~doc)
 
 let fig6_arg =
@@ -45,7 +56,7 @@ let fig6_arg =
   in
   Arg.(
     value
-    & opt int Experiments.default_config.Experiments.fig6_size
+    & opt positive Experiments.default_config.Experiments.fig6_size
     & info [ "fig6-size" ] ~docv:"N" ~doc)
 
 let full_arg =
@@ -437,12 +448,12 @@ let profile_cmd =
   in
   let threads_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "t"; "threads" ] ~docv:"N" ~doc:"Simulated thread count.")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 100_000
+      value & opt positive 100_000
       & info [ "horizon" ] ~docv:"CYCLES"
           ~doc:"Measured window per thread, in simulated cycles.")
   in
@@ -609,26 +620,30 @@ let timeline_cmd =
   in
   let threads_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "t"; "threads" ] ~docv:"N"
-          ~doc:"Worker threads (one extra slot runs the gauge sampler).")
+          ~doc:
+            "Worker threads (one extra slot runs the pressure ballast in \
+             the quota phase).")
   in
   let horizon_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt positive 200_000
       & info [ "horizon" ] ~docv:"CYCLES"
           ~doc:"Total phased horizon in simulated cycles.")
   in
   let initial_arg =
     Arg.(
-      value & opt int 2_048
+      value & opt positive 2_048
       & info [ "initial" ] ~docv:"N" ~doc:"Prefilled store size.")
   in
   let window_arg =
     Arg.(
-      value & opt int 10_000
+      value & opt positive 10_000
       & info [ "window" ] ~docv:"CYCLES"
-          ~doc:"Timeline window width in simulated cycles.")
+          ~doc:
+            "Timeline window width in simulated cycles (the gauges are \
+             sampled five times per window, at least 200 cycles apart).")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
@@ -663,7 +678,6 @@ let timeline_cmd =
         threads;
         initial;
         window;
-        sample_interval = max 200 (window / 5);
         seed;
         phases = Service.default_phases ~horizon_cycles:horizon;
       }

@@ -62,7 +62,15 @@
      drained threads run in the identical global order and the yield is
      resolved by the scheduler's own code, parking is observationally
      identical to the slow path — it only replaces two continuation
-     switches per rotation with ordinary function calls. *)
+     switches per rotation with ordinary function calls.
+
+   Sampling.  A [set_sampler] observer is not a simulated thread: the
+   scheduler calls it at each boundary [0, every, 2*every, ...] once the
+   thread it picks next (in [run]'s loop, or in [drain], which covers a
+   parked thread's self-pop) has reached it.  It costs no cycles and takes
+   no slot, and [tenure_bound] ends every tenure at the next boundary, so
+   the inline path reaches each boundary through the same pick as the slow
+   path: sampled or not, the run is identical. *)
 
 type access_kind = Load | Store | Rmw
 type fence_kind = Full | Compiler
@@ -132,6 +140,10 @@ type t = {
   mutable fused : bool;  (* user toggle for the inline path and parking *)
   mutable inline_ok : bool;  (* set by [run]: fused && Min_clock && no cap *)
   mutable parked : int;  (* tid driving a drain from its own frame, or -1 *)
+  (* --- sampler (see [set_sampler]) --- *)
+  mutable sampler : int -> unit;
+  mutable sample_every : int;  (* 0 = no sampler *)
+  mutable sample_next : int;  (* next boundary; max_int with no sampler *)
 }
 
 and slot = {
@@ -220,6 +232,9 @@ let create ?(policy = Min_clock) ?(cost = Cost_model.opteron_6274)
       fused = true;
       inline_ok = false;
       parked = -1;
+      sampler = ignore;
+      sample_every = 0;
+      sample_next = max_int;
     }
   in
   t.slots <-
@@ -329,14 +344,18 @@ let heap_rebuild t =
    scheduler's own (clock, tid) comparison — exactly when
    [c < tenure_bound t ~tid].  With an empty heap there is no competitor,
    so the tenure is unbounded (only {!tenure_clear} callers — spawn,
-   neutralize, … — can end it). *)
+   neutralize, … — can end it).  Either way it stops at the next sample
+   boundary (an int compare: [Stdlib.min] is polymorphic). *)
 let[@inline] tenure_bound t ~tid =
-  if t.hlen = 0 then max_int
-  else begin
-    let u = Array.unsafe_get t.heap 0 in
-    let cu = (Array.unsafe_get t.slots u).clock in
-    if tid < u then cu + 1 else cu
-  end
+  let b =
+    if t.hlen = 0 then max_int
+    else begin
+      let u = Array.unsafe_get t.heap 0 in
+      let cu = (Array.unsafe_get t.slots u).clock in
+      if tid < u then cu + 1 else cu
+    end
+  in
+  if b < t.sample_next then b else t.sample_next
 
 (* Invalidate every cached tenure.  Called whenever a heap key can move
    other than by the owner's own monotone clock advance, or whenever the
@@ -348,7 +367,8 @@ let[@inline] tenure_bound t ~tid =
      and the victim itself must stop fusing so delivery can happen;
    - [Mem.revoke] (Posted): the victim's flag precondition fails, and its
      Store/Rmw commits change meaning (the squash latch);
-   - [set_fused] / [set_fault_plan]: precondition changes. *)
+   - [set_fused] / [set_fault_plan] / [set_sampler]: precondition
+     changes. *)
 let tenure_clear t =
   let slots = t.slots in
   for i = 0 to Array.length slots - 1 do
@@ -451,6 +471,14 @@ let profile t = t.prof
 
 let set_fused t on =
   t.fused <- on;
+  tenure_clear t
+
+(* Cached tenures may run past the new sampler's first boundary. *)
+let set_sampler t ~every f =
+  if every <= 0 then invalid_arg "Engine.set_sampler: every must be positive";
+  t.sampler <- f;
+  t.sample_every <- every;
+  t.sample_next <- 0;
   tenure_clear t
 
 let fused t = t.fused
@@ -591,11 +619,26 @@ let step t tid =
         slot.pending <- Idle;
         raise e)
 
+(* At a scheduler pick, before the picked thread runs: fire, in order,
+   every sample boundary its clock has reached (a stall can pass several). *)
+let rec fire_samples t clock =
+  if clock >= t.sample_next then begin
+    let at = t.sample_next in
+    t.sample_next <- at + t.sample_every;
+    t.sampler at;
+    fire_samples t clock
+  end
+
+let[@inline] sample_at_pick t tid =
+  let clock = (Array.unsafe_get t.slots tid).clock in
+  if clock >= t.sample_next then fire_samples t clock
+
 (* Run other threads, in exact scheduler order, until the parked thread
    [tid] itself surfaces as the heap minimum (its pop ends the drain and
    leaves it out of the heap, just as the outer loop's pop would have). *)
 let rec drain t tid =
   let m = heap_pop t in
+  sample_at_pick t m;
   if m <> tid then begin
     step t m;
     drain t tid
@@ -1006,6 +1049,7 @@ let run ?max_steps t =
           if t.use_heap then heap_push t tid;
           raise Step_limit_exceeded
       | _ -> ());
+      sample_at_pick t tid;
       step t tid;
       loop ()
     end

@@ -269,11 +269,25 @@ val set_fused : t -> bool -> unit
     A thread that loses leadership parks in the scheduler's heap and drives
     the other threads forward from its own stack frame, then resolves its
     own yield exactly as the scheduler would.  Spawn, [reset_clocks],
-    neutralization and revocation posts, and plan/fusion changes drop every
-    cached tenure.  See DESIGN.md "Leader tenures" for the proof
+    neutralization and revocation posts, and plan/fusion/sampler changes
+    drop every cached tenure, and no tenure runs past the next sample
+    boundary.  See DESIGN.md "Leader tenures" for the proof
     obligations. *)
 
 val fused : t -> bool
+
+(** {2 Sampling} *)
+
+val set_sampler : t -> every:int -> (int -> unit) -> unit
+(** [set_sampler t ~every f] calls [f at] once for each boundary
+    [at = 0, every, 2*every, ...], in order, when the thread the scheduler
+    picks next has a clock [>= at] — under [Min_clock], once the whole
+    frontier has reached [at].  The sampler is not a thread: it takes no
+    slot, costs no cycles and leaves the schedule untouched (fused and slow
+    runs fire identically).  [f] must only read simulation state.
+    Boundaries are clock values, so install the sampler after any
+    {!reset_clocks}; it replaces any earlier one.  Raises
+    [Invalid_argument] unless [every > 0]. *)
 
 val steps : t -> int
 (** Total yield points executed across all threads and phases (scheduler

@@ -798,7 +798,6 @@ let robustness =
           {
             Robustness.default_spec with
             Robustness.horizon_cycles = cfg.horizon_cycles;
-            sample_interval = max 1 (cfg.horizon_cycles / 40);
             seed = cfg.seed;
             sanitize = cfg.sanitize;
           }
@@ -814,7 +813,7 @@ let robustness =
         (* Matrix membership comes from the capability record, not a name
            list: every registered scheme runs except the ones that recycle
            retired blocks in-place (the original OA pools), whose reuse the
-           unreclaimed monitor cannot attribute. *)
+           unreclaimed gauge cannot attribute. *)
         let schemes =
           List.filter_map
             (fun (e : Registry.entry) ->
@@ -912,7 +911,7 @@ let robustness =
               ( label,
                 List.map
                   (fun smp ->
-                    float_of_int smp.Oamem_faults.Monitor.unreclaimed)
+                    float_of_int smp.Robustness.unreclaimed)
                   s.Robustness.samples ))
             charted
         in
@@ -926,7 +925,7 @@ let robustness =
           | (_, (s, _)) :: _ ->
               truncate npoints
                 (List.map
-                   (fun smp -> smp.Oamem_faults.Monitor.at_cycles / 1000)
+                   (fun smp -> smp.Robustness.at_cycles / 1000)
                    s.Robustness.samples)
           | [] -> []
         in
@@ -945,8 +944,8 @@ let robustness =
                         (fun smp ->
                           [
                             label; variant;
-                            string_of_int smp.Oamem_faults.Monitor.at_cycles;
-                            string_of_int smp.Oamem_faults.Monitor.unreclaimed;
+                            string_of_int smp.Robustness.at_cycles;
+                            string_of_int smp.Robustness.unreclaimed;
                           ])
                         r.Robustness.samples)
                     [ ("stalled", s); ("control", c) ])
@@ -1032,13 +1031,9 @@ let robustness =
                          (fun smp ->
                            Json.Obj
                              [
-                               ( "at_cycles",
-                                 Json.Int
-                                   smp.Oamem_faults.Monitor.at_cycles );
+                               ("at_cycles", Json.Int smp.Robustness.at_cycles);
                                ( "unreclaimed",
-                                 Json.Int
-                                   smp.Oamem_faults.Monitor.unreclaimed
-                               );
+                                 Json.Int smp.Robustness.unreclaimed );
                              ])
                          r.Robustness.samples) );
                 ]
@@ -1124,7 +1119,6 @@ let service =
             threads;
             initial;
             window;
-            sample_interval = max 200 (window / 5);
             seed = cfg.seed;
             phases;
           }

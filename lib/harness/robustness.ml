@@ -1,8 +1,10 @@
 (* Robustness runs: garbage growth under a faulty thread.
 
    One run drives [workers] simulated threads over a hash set with an
-   update-only workload while a dedicated monitor thread samples the
-   scheme's retired-but-unreclaimed node count over simulated time.  In the
+   update-only workload while an engine sampler records the scheme's
+   retired-but-unreclaimed node count at 40 evenly spaced points of the
+   horizon (no observer thread, so the workers' schedule is the one an
+   unobserved run takes).  In the
    [Stall] variant, thread 0 is suspended mid-operation (at its
    [stall_at_yield]-th yield) for longer than the whole run; in the [Crash]
    variant it is fail-stopped at the same point and never returns.
@@ -40,11 +42,10 @@ let fault_name = function
 
 type spec = {
   scheme : string;
-  workers : int;  (** workload threads; the monitor adds one more slot *)
+  workers : int;  (** workload threads, one engine slot each *)
   initial : int;
   horizon_cycles : int;
   stall_at_yield : int;
-  sample_interval : int;
   threshold : int;
   seed : int;
   fault : fault;  (** what happens to thread 0 *)
@@ -59,7 +60,6 @@ let default_spec =
     initial = 256;
     horizon_cycles = 400_000;
     stall_at_yield = 2_000;
-    sample_interval = 10_000;
     threshold = 32;
     seed = 7;
     fault = Stall;
@@ -67,9 +67,11 @@ let default_spec =
     sanitize = false;
   }
 
+type sample = { at_cycles : int; unreclaimed : int }
+
 type result = {
   spec : spec;
-  samples : Monitor.sample list;
+  samples : sample list;
   max_unreclaimed : int;
   final_unreclaimed : int;
   final_pinned : int;
@@ -86,11 +88,13 @@ type result = {
    retirements of one reclamation round. *)
 let robust_bound spec = (spec.workers + 1) * (spec.threshold + 16)
 
+(* Points on each garbage curve. *)
+let curve_points = 40
+
 let run spec =
   let sys =
     System.create
-      (System.Config.make
-         ~nthreads:(spec.workers + 1)
+      (System.Config.make ~nthreads:spec.workers
          ~scheme:spec.scheme
          ~max_pages:(1 lsl 16)
          ~sanitize:spec.sanitize
@@ -145,9 +149,15 @@ let run spec =
           ops.(tid) <- ops.(tid) + 1
         done)
   done;
-  let monitor = Monitor.create ~node_words:Node.words () in
-  Monitor.spawn monitor sys ~tid:spec.workers ~horizon:spec.horizon_cycles
-    ~interval:spec.sample_interval;
+  let ss = (System.scheme sys).Scheme.stats in
+  let rev_samples = ref [] in
+  Engine.set_sampler (System.engine sys)
+    ~every:(max 1 (spec.horizon_cycles / curve_points))
+    (fun at ->
+      if at < spec.horizon_cycles then
+        rev_samples :=
+          { at_cycles = at; unreclaimed = Scheme.unreclaimed ss }
+          :: !rev_samples);
   System.run sys;
   (* Access-level sanitizer verdict for the run.  The quiescence (leak)
      check is only meaningful without a crash: a fail-stopped thread's
@@ -156,16 +166,17 @@ let run spec =
   let engine = System.engine sys in
   let fs0 = Engine.fault_stats engine ~tid:0 in
   let neutralized = ref 0 in
-  for tid = 0 to spec.workers do
+  for tid = 0 to spec.workers - 1 do
     neutralized :=
       !neutralized + (Engine.fault_stats engine ~tid).Engine.neutralized
   done;
-  let ss = (System.scheme sys).Scheme.stats in
   {
     spec;
-    samples = Monitor.samples monitor;
-    max_unreclaimed = Monitor.max_unreclaimed monitor;
-    final_unreclaimed = Monitor.final_unreclaimed monitor;
+    samples = List.rev !rev_samples;
+    max_unreclaimed =
+      List.fold_left (fun m s -> max m s.unreclaimed) 0 !rev_samples;
+    final_unreclaimed =
+      (match !rev_samples with [] -> 0 | s :: _ -> s.unreclaimed);
     final_pinned = Scheme.pinned ss;
     ops = Array.fold_left ( + ) 0 ops;
     stalls_injected = fs0.Engine.stalls_injected;

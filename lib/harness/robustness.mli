@@ -7,19 +7,18 @@
     (and seizes a crashed thread's limbo bags), keeping its garbage bounded
     where EBR's is not. *)
 
-open Oamem_faults
-
 type fault = No_fault | Stall | Crash
 
 val fault_name : fault -> string
 
 type spec = {
   scheme : string;
-  workers : int;  (** workload threads; the monitor adds one more slot *)
+  workers : int;  (** workload threads, one engine slot each *)
   initial : int;
   horizon_cycles : int;
+      (** run length; the garbage curve samples it at 40 evenly spaced
+          points (every [horizon_cycles / 40] cycles, from 0) *)
   stall_at_yield : int;  (** thread 0 faults at this (1-based) yield *)
-  sample_interval : int;  (** cycles between garbage samples *)
   threshold : int;
   seed : int;
   fault : fault;  (** what happens to thread 0 *)
@@ -29,9 +28,14 @@ type spec = {
 
 val default_spec : spec
 
+type sample = {
+  at_cycles : int;  (** a sample boundary *)
+  unreclaimed : int;  (** {!Oamem_reclaim.Scheme.unreclaimed} there *)
+}
+
 type result = {
   spec : spec;
-  samples : Monitor.sample list;
+  samples : sample list;  (** the garbage curve, in time order *)
   max_unreclaimed : int;
   final_unreclaimed : int;
   final_pinned : int;

@@ -3,15 +3,15 @@
    One system lives through every phase (structures, caches and superblock
    layout carry over — the point is how each reclamation scheme behaves
    when the traffic shape moves under it), with a Timeline recording
-   windowed and per-phase behaviour.  Thread slot [threads] is a dedicated
-   gauge sampler in the Monitor style: it charges only its sampling
-   interval, so under Min_clock its samples interleave deterministically
-   with the workload.
+   windowed and per-phase behaviour.  An engine sampler feeds the two gauge
+   curves every [max 200 (window / 5)] cycles; it is not a thread, so
+   observing the run does not change its schedule.
 
    The memory-pressure wave installs a live-frame quota relative to the
    frame count at the phase boundary (so the script is independent of the
    absolute store size) and removes it when the phase ends; allocations
-   beyond the quota fault into lrmalloc's pressure-recovery path. *)
+   beyond the quota fault into lrmalloc's pressure-recovery path.  Thread
+   slot [threads] runs the pressure ballast in quota phases only. *)
 
 open Oamem_engine
 open Oamem_core
@@ -69,7 +69,6 @@ type spec = {
   threads : int;
   initial : int;
   window : int;
-  sample_interval : int;
   seed : int;
   phases : phase_spec list;
 }
@@ -80,7 +79,6 @@ let default_spec =
     threads = 4;
     initial = 2048;
     window = 10_000;
-    sample_interval = 2_000;
     seed = 42;
     phases = default_phases ~horizon_cycles:200_000;
   }
@@ -111,9 +109,12 @@ type result = {
   system : System.t;
 }
 
+(* Gauge sampling period: five samples per timeline window. *)
+let sample_every spec = max 200 (spec.window / 5)
+
 let make_system spec =
-  (* two extra engine slots: the gauge sampler and the pressure ballast *)
-  let nthreads = spec.threads + 2 in
+  (* one extra engine slot: the pressure ballast *)
+  let nthreads = spec.threads + 1 in
   let threshold = 64 in
   let pool_nodes = (2 * spec.initial) + max 512 (2 * nthreads * threshold) in
   System.create
@@ -235,6 +236,14 @@ let run spec =
   done;
   System.run sys;
   System.reset_measurement sys;
+  (* The gauge curves cover the scripted horizon: a ballast still
+     recovering past the last phase's end is not sampled. *)
+  let horizon = List.fold_left (fun acc ph -> acc + ph.horizon) 0 spec.phases in
+  Engine.set_sampler eng ~every:(sample_every spec) (fun at ->
+      if at < horizon then begin
+        Timeline.sample_gauge tl ~at g_unreclaimed (Scheme.unreclaimed sstats);
+        Timeline.sample_gauge tl ~at g_frames (Vmem.frames_live vmem)
+      end);
   (* The scripted phases: one spawn generation per phase, cumulative
      horizons (reset_measurement zeroed the clocks; each phase's threads
      run until the shared simulated deadline). *)
@@ -285,28 +294,17 @@ let run spec =
                 ops_count.(tid) <- ops_count.(tid) + 1
               done)
         done;
-        (* The sampler is an observer: it charges only its interval, so the
-           unreclaimed/frames curves are a faithful simulated time series. *)
-        System.spawn sys ~tid:spec.threads (fun ctx ->
-            while Engine.Mem.now ctx < t_end do
-              let now = Engine.Mem.now ctx in
-              Timeline.sample_gauge tl ~at:now g_unreclaimed
-                (Scheme.unreclaimed sstats);
-              Timeline.sample_gauge tl ~at:now g_frames
-                (Vmem.frames_live vmem);
-              Engine.Mem.charge ctx spec.sample_interval;
-              Engine.Mem.pause ctx
-            done);
         (* Pressure ballast (quota phases): a co-tenant thread grabbing
            persistent memory in its own size classes, Pressure-experiment
            style — each round carves fresh superblocks and touches every
            block, so frame demand is real no matter how much slack the
            store's own superblocks hold.  Rounds free into the thread cache
            (resident but reclaimable), which is exactly what the recovery
-           flush can give back.  The thread parks through non-quota phases
-           so its clock tracks simulated time. *)
-        System.spawn sys ~tid:(spec.threads + 1) (fun ctx ->
-            if ph.quota_headroom <> None then begin
+           flush can give back.  The thread first catches its clock up to
+           the phase start. *)
+        if under_quota then
+          System.spawn sys ~tid:spec.threads (fun ctx ->
+              Engine.Mem.charge ctx (max 0 (t_start - Engine.Mem.now ctx));
               (* equal 4-page rounds: once the quota binds, the frames a
                  recovery releases from round N's emptied superblocks cover
                  round N+1's demand, so the wave recovers instead of dying *)
@@ -323,12 +321,7 @@ let run spec =
                   List.iter (Lrmalloc.free alloc ctx) addrs)
                 [ (8, 256); (16, 128); (32, 64) ];
               Lrmalloc.with_pressure_recovery alloc ctx (fun () ->
-                  Lrmalloc.flush_thread_cache alloc ctx)
-            end;
-            while Engine.Mem.now ctx < t_end do
-              Engine.Mem.charge ctx spec.sample_interval;
-              Engine.Mem.pause ctx
-            done);
+                  Lrmalloc.flush_thread_cache alloc ctx));
         System.run sys;
         if quota_installed then Vmem.set_frame_quota vmem None;
         let recovered =

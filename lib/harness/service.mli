@@ -6,9 +6,10 @@
     flash crowd (hotter skew, read-hammering) → churn storm (update-only) →
     memory-pressure wave (insert-heavy growth under a live-frame quota that
     drives lrmalloc's pressure-recovery path).  A {!Oamem_obs.Timeline}
-    records windowed and per-phase counters, gauge samples (a dedicated
-    sampler thread, Monitor-style) and exact per-phase op latency
-    histograms; {!run} distils them into SLA-style {!phase_stats}.
+    records windowed and per-phase counters, gauge samples (taken by an
+    {!Oamem_engine.Engine.set_sampler} callback, five per window) and exact
+    per-phase op latency histograms; {!run} distils them into SLA-style
+    {!phase_stats}.
 
     Deterministic: same spec, byte-identical timeline and stats. *)
 
@@ -31,11 +32,12 @@ val default_phases : horizon_cycles:int -> phase_spec list
 type spec = {
   scheme : string;
   threads : int;
-      (** workers; two extra engine slots run the gauge sampler and the
-          pressure ballast *)
+      (** workers; one extra engine slot runs the pressure ballast in
+          quota phases *)
   initial : int;  (** prefilled keys (universe is twice this) *)
-  window : int;  (** timeline window width in simulated cycles *)
-  sample_interval : int;  (** sampler period in simulated cycles *)
+  window : int;
+      (** timeline window width in simulated cycles; the gauges are
+          sampled every [max 200 (window / 5)] cycles *)
   seed : int;
   phases : phase_spec list;
 }

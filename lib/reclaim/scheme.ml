@@ -31,6 +31,7 @@ exception Restart
 type stats = {
   mutable retired : int;
   mutable freed : int;
+  mutable carried : int;  (** unreclaimed balance at the last reset *)
   mutable restarts : int;
   mutable warnings_fired : int;  (** warning-bit broadcasts / clock bumps *)
   mutable warnings_piggybacked : int;  (** OA-VER: reclaims without a bump *)
@@ -44,6 +45,7 @@ let fresh_stats () =
   {
     retired = 0;
     freed = 0;
+    carried = 0;
     restarts = 0;
     warnings_fired = 0;
     warnings_piggybacked = 0;
@@ -53,8 +55,10 @@ let fresh_stats () =
     cond_fails = 0;
   }
 
-(* Retired-but-unreclaimed nodes: the garbage a stalled thread can pin. *)
-let unreclaimed s = s.retired - s.freed
+(* Retired-but-unreclaimed nodes: the garbage a stalled thread can pin.  A
+   live count, not a windowed one: [carried] holds the balance open at the
+   last reset, so nodes retired before it and freed after it cancel out. *)
+let unreclaimed s = s.carried + s.retired - s.freed
 
 (* Unreclaimed nodes no live thread can free.  A node seized from a dead
    thread's bag is still unreclaimed (seizure unpins, it does not free) but
@@ -66,6 +70,7 @@ let unreclaimed s = s.retired - s.freed
 let pinned s = max 0 (unreclaimed s - s.seized)
 
 let reset_stats s =
+  s.carried <- unreclaimed s;
   s.retired <- 0;
   s.freed <- 0;
   s.restarts <- 0;

@@ -15,6 +15,9 @@ exception Restart
 type stats = {
   mutable retired : int;
   mutable freed : int;
+  mutable carried : int;
+      (** {!unreclaimed} balance at the last {!reset_stats}: nodes retired
+          before the measurement window and not yet freed *)
   mutable restarts : int;  (** operation restarts (all causes) *)
   mutable warnings_fired : int;  (** warning-bit sets / clock bumps *)
   mutable warnings_piggybacked : int;  (** OA-VER reclaims without a bump *)
@@ -29,12 +32,18 @@ type stats = {
 }
 
 val fresh_stats : unit -> stats
+
 val reset_stats : stats -> unit
+(** Zero the windowed counters, folding the open {!unreclaimed} balance
+    into [carried] so the gauge reads the same before and after. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val unreclaimed : stats -> int
-(** [retired - freed]: nodes sitting in limbo lists / retirement pools —
-    the garbage a stalled or crashed thread can pin (robustness metric). *)
+(** [carried + retired - freed]: the live count of nodes sitting in limbo
+    lists / retirement pools — the garbage a stalled or crashed thread can
+    pin (robustness metric).  Unchanged by {!reset_stats}, so a
+    measurement reset cannot drive it negative. *)
 
 val pinned : stats -> int
 (** Unreclaimed nodes no live thread can free: {!unreclaimed} minus the

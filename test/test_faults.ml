@@ -291,7 +291,6 @@ let robustness_spec scheme =
     Robustness.default_spec with
     Robustness.scheme;
     horizon_cycles = 200_000;
-    sample_interval = 5_000;
   }
 
 let test_robustness_ebr_unbounded () =

@@ -24,10 +24,18 @@ let check_bool = Alcotest.(check bool)
 (* --- engine-level differential -------------------------------------------- *)
 
 (* Deterministic mixed traffic: each thread walks its own PRNG and issues
-   loads, stores, RMWs, fences and pauses over a small block range. *)
-let drive ~fused ~nthreads =
+   loads, stores, RMWs, fences and pauses over a small block range.  With
+   [samples], an engine sampler records [(at, accesses, fences)] every 97
+   cycles into it (newest first). *)
+let drive ?samples ~fused ~nthreads () =
   let eng = Engine.create ~nthreads () in
   Engine.set_fused eng fused;
+  Option.iter
+    (fun samples ->
+      Engine.set_sampler eng ~every:97 (fun at ->
+          let s = Engine.stats eng in
+          samples := (at, s.Engine.accesses, s.Engine.fences) :: !samples))
+    samples;
   for tid = 0 to nthreads - 1 do
     Engine.spawn eng ~tid (fun ctx ->
         let prng = Engine.Mem.prng ctx in
@@ -51,24 +59,61 @@ let drive ~fused ~nthreads =
   Engine.run eng;
   eng
 
-let test_engine_differential () =
-  let nthreads = 4 in
-  let fused = drive ~fused:true ~nthreads in
-  let slow = drive ~fused:false ~nthreads in
+let assert_sim_equal label ~nthreads (expected : Engine.t) (got : Engine.t) =
   for tid = 0 to nthreads - 1 do
-    check_int
-      (Printf.sprintf "clock of thread %d" tid)
-      (Engine.clock slow ~tid) (Engine.clock fused ~tid)
+    let n what = Printf.sprintf "%s: %s of thread %d" label what tid in
+    check_int (n "clock") (Engine.clock expected ~tid) (Engine.clock got ~tid);
+    let fe = Engine.fault_stats expected ~tid
+    and fg = Engine.fault_stats got ~tid in
+    check_int (n "yields") fe.Engine.yields fg.Engine.yields;
+    check_int (n "stalls") fe.Engine.stalls_injected fg.Engine.stalls_injected;
+    check_int (n "stall cycles") fe.Engine.stall_cycles fg.Engine.stall_cycles;
+    check_int (n "neutralizations") fe.Engine.neutralized fg.Engine.neutralized
   done;
-  check_int "steps" (Engine.steps slow) (Engine.steps fused);
-  let sf = Engine.stats fused and ss = Engine.stats slow in
-  check_int "accesses" ss.Engine.accesses sf.Engine.accesses;
-  check_int "fences" ss.Engine.fences sf.Engine.fences;
-  check_int "remote invalidations" ss.Engine.cache.Hierarchy.remote_invalidations
-    sf.Engine.cache.Hierarchy.remote_invalidations;
-  check_int "l1 hits" ss.Engine.cache.Hierarchy.l1.Cache.hits
-    sf.Engine.cache.Hierarchy.l1.Cache.hits;
-  check_int "tlb misses" ss.Engine.tlb.Tlb.misses sf.Engine.tlb.Tlb.misses
+  let n what = Printf.sprintf "%s: %s" label what in
+  check_int (n "steps") (Engine.steps expected) (Engine.steps got);
+  let se = Engine.stats expected and sg = Engine.stats got in
+  check_int (n "accesses") se.Engine.accesses sg.Engine.accesses;
+  check_int (n "fences") se.Engine.fences sg.Engine.fences;
+  check_int (n "faults") se.Engine.faults sg.Engine.faults;
+  check_int (n "l1 hits") se.Engine.cache.Hierarchy.l1.Cache.hits
+    sg.Engine.cache.Hierarchy.l1.Cache.hits;
+  check_int (n "remote invalidations")
+    se.Engine.cache.Hierarchy.remote_invalidations
+    sg.Engine.cache.Hierarchy.remote_invalidations;
+  check_int (n "tlb misses") se.Engine.tlb.Tlb.misses sg.Engine.tlb.Tlb.misses
+
+(* Fused and slow, each with the sampler on and off, at 1 thread (one
+   unbounded tenure, cut only by sample boundaries) and at 4.  Observation
+   must not change the run, and the fused engine must reach every sample
+   boundary at the same point of the run as the slow path. *)
+let test_engine_differential () =
+  List.iter
+    (fun nthreads ->
+      let run ~fused ~sampled =
+        let samples = ref [] in
+        let eng =
+          drive
+            ?samples:(if sampled then Some samples else None)
+            ~fused ~nthreads ()
+        in
+        (eng, List.rev !samples)
+      in
+      let slow, _ = run ~fused:false ~sampled:false in
+      let fused, _ = run ~fused:true ~sampled:false in
+      let slow_sampled, slow_samples = run ~fused:false ~sampled:true in
+      let fused_sampled, fused_samples = run ~fused:true ~sampled:true in
+      let label what = Printf.sprintf "%dT %s" nthreads what in
+      assert_sim_equal (label "fused") ~nthreads slow fused;
+      assert_sim_equal (label "slow, sampled") ~nthreads slow slow_sampled;
+      assert_sim_equal (label "fused, sampled") ~nthreads slow fused_sampled;
+      check_bool (label "samples fired") true (List.length slow_samples > 10);
+      check_bool (label "fused samples = slow samples") true
+        (fused_samples = slow_samples))
+    [ 1; 4 ];
+  Alcotest.check_raises "sampler period must be positive"
+    (Invalid_argument "Engine.set_sampler: every must be positive")
+    (fun () -> Engine.set_sampler (Engine.create ~nthreads:1 ()) ~every:0 ignore)
 
 (* --- runner-level differential -------------------------------------------- *)
 
@@ -142,30 +187,6 @@ let test_imr_fused_identity () =
    every scenario below runs fused and on the slow path, and the simulated
    outcome (clocks, yields, fault accounting, cache/TLB state) must be
    byte-identical across the two. *)
-
-let assert_sim_equal label ~nthreads (expected : Engine.t) (got : Engine.t) =
-  for tid = 0 to nthreads - 1 do
-    let n what = Printf.sprintf "%s: %s of thread %d" label what tid in
-    check_int (n "clock") (Engine.clock expected ~tid) (Engine.clock got ~tid);
-    let fe = Engine.fault_stats expected ~tid
-    and fg = Engine.fault_stats got ~tid in
-    check_int (n "yields") fe.Engine.yields fg.Engine.yields;
-    check_int (n "stalls") fe.Engine.stalls_injected fg.Engine.stalls_injected;
-    check_int (n "stall cycles") fe.Engine.stall_cycles fg.Engine.stall_cycles;
-    check_int (n "neutralizations") fe.Engine.neutralized fg.Engine.neutralized
-  done;
-  let n what = Printf.sprintf "%s: %s" label what in
-  check_int (n "steps") (Engine.steps expected) (Engine.steps got);
-  let se = Engine.stats expected and sg = Engine.stats got in
-  check_int (n "accesses") se.Engine.accesses sg.Engine.accesses;
-  check_int (n "fences") se.Engine.fences sg.Engine.fences;
-  check_int (n "faults") se.Engine.faults sg.Engine.faults;
-  check_int (n "l1 hits") se.Engine.cache.Hierarchy.l1.Cache.hits
-    sg.Engine.cache.Hierarchy.l1.Cache.hits;
-  check_int (n "remote invalidations")
-    se.Engine.cache.Hierarchy.remote_invalidations
-    sg.Engine.cache.Hierarchy.remote_invalidations;
-  check_int (n "tlb misses") se.Engine.tlb.Tlb.misses sg.Engine.tlb.Tlb.misses
 
 (* [build ()] creates an engine and spawns its threads; each mode gets a
    fresh instance.  Returns the slow-path engine for scenario-specific

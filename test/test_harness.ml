@@ -235,8 +235,9 @@ let test_experiments_registry () =
     (fun () -> ignore (Experiments.find "nope"))
 
 (* The CLI turns an unknown experiment id or scheme name into a usage error
-   naming the known ones, not an uncaught exception or a silent empty run.
-   Tests run in _build/default/test; the binary builds next door. *)
+   naming the known ones, and a zero size, count or horizon into one naming
+   the option, not an uncaught exception or a silent empty run.  Tests run
+   in _build/default/test; the binary builds next door. *)
 let test_repro_unknown_id () =
   let repro = Filename.concat ".." (Filename.concat "bin" "repro.exe") in
   let ids =
@@ -277,6 +278,19 @@ let test_repro_unknown_id () =
       ([ "fuzz"; "--max-runs"; "2"; "-s"; "nosuch" ], schemes);
       ([ "profile"; "-s"; "nosuch" ], schemes);
       ([ "timeline"; "-s"; "nosuch" ], schemes);
+      ([ "run"; "fig5a"; "--quick"; "--horizon"; "0" ], [ "--horizon" ]);
+      ([ "all"; "--quick"; "--horizon"; "0" ], [ "--horizon" ]);
+      ([ "run"; "fig4a"; "--quick"; "--fig4-size"; "0" ], [ "--fig4-size" ]);
+      ([ "run"; "fig6a"; "--quick"; "--fig6-size"; "0" ], [ "--fig6-size" ]);
+      ([ "run"; "fig5a"; "--quick"; "--threads"; "0" ], [ "--threads" ]);
+      ([ "run"; "fig5a"; "--quick"; "--threads"; "1,0" ], [ "--threads" ]);
+      ([ "sweep"; "fig5a"; "--quick"; "--threads"; "0" ], [ "--threads" ]);
+      ([ "profile"; "--threads"; "0" ], [ "--threads" ]);
+      ([ "profile"; "--horizon"; "0" ], [ "--horizon" ]);
+      ([ "timeline"; "--threads"; "0" ], [ "--threads" ]);
+      ([ "timeline"; "--horizon"; "0" ], [ "--horizon" ]);
+      ([ "timeline"; "--initial"; "0" ], [ "--initial" ]);
+      ([ "timeline"; "--window"; "0" ], [ "--window" ]);
     ]
 
 let test_small_experiment_runs () =

@@ -255,6 +255,26 @@ let test_reset_measurement_zeroes_snapshot () =
   (* gauges (instantaneous state) are deliberately untouched *)
   check_bool "frames still live" true (Metrics.find s "vmem.frames_live" > 0)
 
+(* [scheme.unreclaimed] is a live gauge: a measurement reset must not move
+   it (a windowed [retired - freed] goes negative once warmup retirees are
+   freed after the reset), and once every limbo list is drained it reads 0
+   for every scheme that reclaims at all. *)
+let test_unreclaimed_is_live () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let name = e.Registry.name in
+      let sys = mk name in
+      let gauge () = Metrics.find (System.metrics sys) "scheme.unreclaimed" in
+      churn sys;
+      let before = gauge () in
+      System.reset_measurement sys;
+      check_int (name ^ ": reset leaves the gauge") before (gauge ());
+      churn sys;
+      System.drain sys;
+      if not e.Registry.caps.Scheme.leaks_by_design then
+        check_int (name ^ ": drained to zero") 0 (gauge ()))
+    Registry.all
+
 let test_metrics_export_has_required_counters () =
   let sys = mk "oa-ver" in
   churn sys;
@@ -314,6 +334,7 @@ let suite =
     ( "reset_measurement zeroes snapshot",
       `Quick,
       test_reset_measurement_zeroes_snapshot );
+    ("unreclaimed is a live gauge", `Quick, test_unreclaimed_is_live);
     ( "metrics export has required counters",
       `Quick,
       test_metrics_export_has_required_counters );

@@ -173,7 +173,6 @@ let small_service_spec scheme =
     threads = 2;
     initial = 256;
     window = 1_000;
-    sample_interval = 500;
     seed = 11;
     phases = Service.default_phases ~horizon_cycles:40_000;
   }
@@ -218,9 +217,10 @@ let test_service_byte_identical_across_runs () =
   check_string "same spec, identical phase stats" (stats a) (stats b)
 
 (* Regression: the service scenario livelocked under imr — retire revoked
-   the sampler and ballast bystander threads, whose squashed allocator
-   anchor CASes then retried forever in the pressure wave.  The run must
-   complete with every phase (the pressure wave included) reporting ops. *)
+   the pressure ballast, a bystander thread outside the workload, whose
+   squashed allocator anchor CASes then retried forever in the pressure
+   wave.  The run must complete with every phase (the pressure wave
+   included) reporting ops. *)
 let test_service_completes_under_imr () =
   let r = Service.run (small_service_spec "imr") in
   check_int "all four phases reported" 4 (List.length r.Service.per_phase);
