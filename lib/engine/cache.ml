@@ -124,24 +124,17 @@ let access t block =
 
 (* Probe without installing or updating LRU state. *)
 let present t block =
-  let base = 2 * set_of_block t block * t.ways in
-  let rec find i =
-    if i >= t.ways then false
-    else t.lines.(base + (2 * i)) = block || find (i + 1)
-  in
-  find 0
+  find_way t.lines (2 * set_of_block t block * t.ways) t.ways block 0 >= 0
 
+(* Runs once per remote copy on every invalidating store, so it reuses the
+   top-level [find_way] rather than a local closure. *)
 let invalidate t block =
   let base = 2 * set_of_block t block * t.ways in
-  let rec find i =
-    if i >= t.ways then ()
-    else if t.lines.(base + (2 * i)) = block then begin
-      t.lines.(base + (2 * i)) <- -1;
-      t.invalidations <- t.invalidations + 1
-    end
-    else find (i + 1)
-  in
-  find 0
+  let i = find_way t.lines base t.ways block 0 in
+  if i >= 0 then begin
+    t.lines.(base + (2 * i)) <- -1;
+    t.invalidations <- t.invalidations + 1
+  end
 
 let clear t =
   let rec invalidate_tags i =

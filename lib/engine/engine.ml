@@ -64,6 +64,11 @@
      identical to the slow path — it only replaces two continuation
      switches per rotation with ordinary function calls.
 
+   Allocation.  The inline path and a park allocate nothing on the host.
+   An effect suspension allocates only the runtime's continuation (2
+   words): the engine keeps it in the slot's reusable [k] field rather
+   than in a box.
+
    Sampling.  A [set_sampler] observer is not a simulated thread: the
    scheduler calls it at each boundary [0, every, 2*every, ...] once the
    thread it picks next (in [run]'s loop, or in [drain], which covers a
@@ -156,6 +161,9 @@ and slot = {
       (* the thread is a proven strict leader for any request issued with
          [clock < tenure_until]; 0 = no tenure (re-prove on the next one) *)
   (* --- flattened suspended request --- *)
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* the suspended continuation while [pending = Blocked]; a reusable
+         field, so a suspension allocates no box around it *)
   mutable req_tag : int;
   mutable req_vpage : int;
   mutable req_paddr : int;
@@ -184,11 +192,31 @@ and slot = {
 and pending =
   | Idle
   | Start of (ctx -> unit)
-  | Blocked of (unit, unit) Effect.Deep.continuation
+  | Blocked  (* suspended by an effect; the continuation is in [k] *)
   | Parked  (* in the heap, but running a [drain] from its own frame *)
   | Crashed  (* fault-injected fail-stop; the slot is permanently dead *)
 
 and ctx = { tid : int; eng : t option; prng : Prng.t }
+
+(* OCaml has no null continuation, so every slot's [k] starts out as this
+   one: captured once from a fiber that performs [Yield] and is never
+   resumed. *)
+let no_continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Yield
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
 
 let fresh_fault_stats () =
   {
@@ -245,6 +273,7 @@ let create ?(policy = Min_clock) ?(cost = Cost_model.opteron_6274)
           pending = Idle;
           fstats = fresh_fault_stats ();
           tenure_until = 0;
+          k = no_continuation;
           req_tag = 0;
           req_vpage = -1;
           req_paddr = 0;
@@ -334,7 +363,7 @@ let heap_rebuild t =
     for tid = 0 to t.nthreads - 1 do
       match t.slots.(tid).pending with
       | Idle | Crashed -> ()
-      | Start _ | Blocked _ | Parked -> heap_push t tid
+      | Start _ | Blocked | Parked -> heap_push t tid
     done
   end
 
@@ -527,7 +556,8 @@ let start_thread t slot f =
   let on_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        slot.pending <- Blocked k;
+        slot.k <- k;
+        slot.pending <- Blocked;
         if t.use_heap then heap_push t tid)
   in
   Effect.Deep.match_with f slot.ctx
@@ -607,7 +637,8 @@ let step t tid =
        with e ->
          slot.pending <- Idle;
          raise e)
-  | Blocked k -> (
+  | Blocked -> (
+      let k = slot.k in
       slot.pending <- Idle;
       let r = resolve_yield t ~tid slot in
       try
@@ -834,10 +865,16 @@ module Mem = struct
   let masked (c : ctx) f =
     match c.eng with
     | None -> f ()
-    | Some t ->
+    | Some t -> (
         let slot = t.slots.(c.tid) in
         slot.masked <- slot.masked + 1;
-        Fun.protect ~finally:(fun () -> slot.masked <- slot.masked - 1) f
+        match f () with
+        | v ->
+            slot.masked <- slot.masked - 1;
+            v
+        | exception e ->
+            slot.masked <- slot.masked - 1;
+            raise e)
 
   (* Exempt [f]'s accesses from conditional-access squashing: trusted
      runtime code (allocator metadata walks, superblock anchors) is not
@@ -845,13 +882,29 @@ module Mem = struct
      must not make its CASes fail — a revoked bystander flushing its
      thread cache would otherwise retry a squashed anchor CAS forever.
      Unlike [masked] this defers nothing: signals still deliver. *)
-  let unconditional (c : ctx) f =
+  let enter_unconditional (c : ctx) =
     match c.eng with
-    | None -> f ()
+    | None -> ()
     | Some t ->
         let slot = t.slots.(c.tid) in
-        slot.exempt <- slot.exempt + 1;
-        Fun.protect ~finally:(fun () -> slot.exempt <- slot.exempt - 1) f
+        slot.exempt <- slot.exempt + 1
+
+  let leave_unconditional (c : ctx) =
+    match c.eng with
+    | None -> ()
+    | Some t ->
+        let slot = t.slots.(c.tid) in
+        slot.exempt <- slot.exempt - 1
+
+  let unconditional (c : ctx) f =
+    enter_unconditional c;
+    match f () with
+    | v ->
+        leave_unconditional c;
+        v
+    | exception e ->
+        leave_unconditional c;
+        raise e
 
   let signal_pending (c : ctx) ~tid =
     match c.eng with None -> false | Some t -> t.slots.(tid).signal
@@ -881,7 +934,7 @@ module Mem = struct
         (match vslot.pending with
         | Crashed -> Dead
         | Idle when victim <> c.tid -> Dead  (* finished or never started *)
-        | Idle | Start _ | Blocked _ | Parked ->
+        | Idle | Start _ | Blocked | Parked ->
             if vslot.signal then Already_pending
             else begin
               vslot.signal <- true;
@@ -950,7 +1003,7 @@ module Mem = struct
         (match vslot.pending with
         | Crashed -> Dead
         | Idle when victim <> c.tid -> Dead  (* finished or never started *)
-        | Idle | Start _ | Blocked _ | Parked ->
+        | Idle | Start _ | Blocked | Parked ->
             if not vslot.accessible then Already_pending
             else begin
               charge_flag_access t ~tid:c.tid ~owner:victim ~kind:Store
@@ -980,7 +1033,7 @@ let spawn t ~tid f =
   let slot = t.slots.(tid) in
   (match slot.pending with
   | Idle -> ()
-  | Start _ | Blocked _ | Parked -> invalid_arg "Engine.spawn: slot busy"
+  | Start _ | Blocked | Parked -> invalid_arg "Engine.spawn: slot busy"
   | Crashed -> invalid_arg "Engine.spawn: slot crashed");
   slot.pending <- Start f;
   (* the new entry may undercut a cached minimum *)
@@ -997,7 +1050,7 @@ let pick_scan t =
     match t.slots.(tid).pending with
     | Idle | Crashed -> ()
     | Parked -> assert false
-    | Start _ | Blocked _ -> incr runnable
+    | Start _ | Blocked -> incr runnable
   done;
   let nth_runnable n =
     let chosen = ref (-1) in
@@ -1006,7 +1059,7 @@ let pick_scan t =
       (match t.slots.(tid).pending with
       | Idle | Crashed -> ()
       | Parked -> assert false
-      | Start _ | Blocked _ ->
+      | Start _ | Blocked ->
           if !seen = n && !chosen < 0 then chosen := tid;
           incr seen)
     done;

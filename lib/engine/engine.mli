@@ -194,6 +194,13 @@ module Mem : sig
       flag is revoked (e.g. a bystander flushing its thread cache).
       Orthogonal to {!masked}: signal delivery is not deferred. *)
 
+  val enter_unconditional : t -> unit
+  val leave_unconditional : t -> unit
+  (** The bracket {!unconditional} is built on, for hot callers that must
+      not allocate a closure (the allocator's entry points).  Every
+      [enter_unconditional] must be matched by one [leave_unconditional] on
+      every exit, exceptional ones included. *)
+
   val access_revoked : t -> tid:int -> bool
   (** Cost-free: whether [tid]'s accessible flag is currently revoked
       (sanitizer and test hook). *)

@@ -42,11 +42,11 @@ let access t ~tid vpage =
 
 let shootdown t vpage =
   t.shootdowns <- t.shootdowns + 1;
-  Array.iter
-    (fun e ->
-      let idx = vpage land (t.slots - 1) in
-      if e.(idx) = vpage then e.(idx) <- -1)
-    t.entries
+  let idx = vpage land (t.slots - 1) in
+  for tid = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(tid) in
+    if e.(idx) = vpage then e.(idx) <- -1
+  done
 
 type stats = { hits : int; misses : int; shootdowns : int }
 

@@ -410,7 +410,7 @@ let dwcas_leak =
           let ctx = Engine.external_ctx () in
           let first = Lrmalloc.palloc alloc ctx 512 in
           let heap = Lrmalloc.heap alloc in
-          let d = Heap.lookup_desc heap ctx first |> Option.get in
+          let d = Heap.lookup_desc heap ctx first in
           let blocks =
             first
             :: List.init
@@ -486,8 +486,8 @@ let micro_validate =
           let loc = sch.Scheme.alloc ctx 2 in
           Vmem.store vm ctx loc node;
           for _ = 1 to n do
-            sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node
-              ~verify:(fun () -> Vmem.load vm ctx loc = node)
+            sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node ~link:loc
+              ~expect:node
           done
         in
         let rows =

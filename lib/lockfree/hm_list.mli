@@ -45,6 +45,20 @@ val replace : t -> Engine.ctx -> int -> int -> int option
 (** Atomically replace an existing binding's value; returns the previous
     value, or [None] if the key is absent. *)
 
+(** {2 Sibling lists}
+
+    A list created by {!at_head} can also run each operation on another
+    list sharing its scheme, memory and node size, living at the head word
+    [head] (the other buckets of a hash table), without building a [t] per
+    operation. *)
+
+val contains_at : t -> Engine.ctx -> head:int -> int -> bool
+val insert_at : t -> Engine.ctx -> head:int -> int -> bool
+val delete_at : t -> Engine.ctx -> head:int -> int -> bool
+val insert_kv_at : t -> Engine.ctx -> head:int -> int -> int -> bool
+val lookup_at : t -> Engine.ctx -> head:int -> int -> int option
+val replace_at : t -> Engine.ctx -> head:int -> int -> int -> int option
+
 val build_sorted : t -> Engine.ctx -> int list -> unit
 (** Sequential bulk construction for setup/prefill (empty list, one caller). *)
 

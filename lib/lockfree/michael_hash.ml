@@ -17,6 +17,8 @@ type t = {
   buckets : int;  (* base address of the bucket array *)
   nbuckets : int;
   node_words : int;  (* 2 for sets, 3 for key-value maps *)
+  chains : Hm_list.t;
+      (* the list at bucket 0; its [_at] operations serve every bucket *)
 }
 
 (* Fibonacci-style multiplicative mixing, good enough to spread dense keys. *)
@@ -37,7 +39,8 @@ let create_sized ctx ~scheme ~vmem ~alloc ~expected_size ~load_factor
   for b = 0 to nbuckets - 1 do
     Vmem.store vmem ctx (buckets + b) Node.null
   done;
-  { scheme; vmem; buckets; nbuckets; node_words }
+  let chains = Hm_list.at_head ~node_words ~scheme ~vmem buckets in
+  { scheme; vmem; buckets; nbuckets; node_words; chains }
 
 let create ctx ~scheme ~vmem ~alloc ~expected_size ~load_factor =
   create_sized ctx ~scheme ~vmem ~alloc ~expected_size ~load_factor
@@ -47,16 +50,23 @@ let create_kv ctx ~scheme ~vmem ~alloc ~expected_size ~load_factor =
   create_sized ctx ~scheme ~vmem ~alloc ~expected_size ~load_factor
     ~node_words:Node.kv_words
 
-let list_for t key =
-  Hm_list.at_head ~node_words:t.node_words ~scheme:t.scheme ~vmem:t.vmem
-    (bucket_head t key)
+let contains t ctx key =
+  Hm_list.contains_at t.chains ctx ~head:(bucket_head t key) key
 
-let contains t ctx key = Hm_list.contains (list_for t key) ctx key
-let insert t ctx key = Hm_list.insert (list_for t key) ctx key
-let delete t ctx key = Hm_list.delete (list_for t key) ctx key
-let insert_kv t ctx key value = Hm_list.insert_kv (list_for t key) ctx key value
-let lookup t ctx key = Hm_list.lookup (list_for t key) ctx key
-let replace t ctx key value = Hm_list.replace (list_for t key) ctx key value
+let insert t ctx key =
+  Hm_list.insert_at t.chains ctx ~head:(bucket_head t key) key
+
+let delete t ctx key =
+  Hm_list.delete_at t.chains ctx ~head:(bucket_head t key) key
+
+let insert_kv t ctx key value =
+  Hm_list.insert_kv_at t.chains ctx ~head:(bucket_head t key) key value
+
+let lookup t ctx key =
+  Hm_list.lookup_at t.chains ctx ~head:(bucket_head t key) key
+
+let replace t ctx key value =
+  Hm_list.replace_at t.chains ctx ~head:(bucket_head t key) key value
 
 let nbuckets t = t.nbuckets
 

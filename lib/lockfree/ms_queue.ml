@@ -30,9 +30,9 @@ let create ctx ~scheme ~vmem =
   Vmem.store vmem ctx tail sentinel;
   { scheme; vmem; head; tail }
 
-(* Same restart-attribution and checkpoint protocol as [Hm_list.run_op] —
-   see {!Op.run}. *)
-let run_op t ctx frame f = Op.run t.scheme ctx frame f
+(* Same restart-attribution and checkpoint protocol as [Hm_list] — see
+   {!Op.run}.  The bodies here are closures built per operation. *)
+let run_op t ctx frame f = Op.run t.scheme ctx frame (fun f _ () -> f ()) f ()
 
 let enqueue t ctx value =
   let sch = t.scheme and vm = t.vmem in
@@ -44,8 +44,8 @@ let enqueue t ctx value =
         let rec loop () =
           let tl = Vmem.load vm ctx t.tail in
           sch.Scheme.read_check ctx;
-          sch.Scheme.traverse_protect ctx ~slot:0 ~addr:tl ~verify:(fun () ->
-              Vmem.load vm ctx t.tail = tl);
+          sch.Scheme.traverse_protect ctx ~slot:0 ~addr:tl ~link:t.tail
+            ~expect:tl;
           let next = Vmem.load vm ctx (Node.next_of tl) in
           sch.Scheme.read_check ctx;
           if next = Node.null then begin
@@ -91,8 +91,8 @@ let dequeue t ctx =
       let rec loop () =
         let hd = Vmem.load vm ctx t.head in
         sch.Scheme.read_check ctx;
-        sch.Scheme.traverse_protect ctx ~slot:0 ~addr:hd ~verify:(fun () ->
-            Vmem.load vm ctx t.head = hd);
+        sch.Scheme.traverse_protect ctx ~slot:0 ~addr:hd ~link:t.head
+          ~expect:hd;
         let tl = Vmem.load vm ctx t.tail in
         sch.Scheme.read_check ctx;
         let next = Vmem.load vm ctx (Node.next_of hd) in
@@ -109,8 +109,8 @@ let dequeue t ctx =
             loop ()
           end
         else begin
-          sch.Scheme.traverse_protect ctx ~slot:1 ~addr:next ~verify:(fun () ->
-              Vmem.load vm ctx (Node.next_of hd) = next);
+          sch.Scheme.traverse_protect ctx ~slot:1 ~addr:next
+            ~link:(Node.next_of hd) ~expect:next;
           let value = Vmem.load vm ctx next in
           sch.Scheme.read_check ctx;
           sch.Scheme.write_protect ctx ~slot:2 hd;

@@ -26,9 +26,9 @@ let create ctx ~scheme ~vmem =
   Vmem.store vmem ctx top Node.null;
   { scheme; vmem; top }
 
-(* Same restart-attribution and checkpoint protocol as [Hm_list.run_op] —
-   see {!Op.run}. *)
-let run_op t ctx frame f = Op.run t.scheme ctx frame f
+(* Same restart-attribution and checkpoint protocol as [Hm_list] — see
+   {!Op.run}.  The bodies here are closures built per operation. *)
+let run_op t ctx frame f = Op.run t.scheme ctx frame (fun f _ () -> f ()) f ()
 
 let push t ctx value =
   let sch = t.scheme and vm = t.vmem in
@@ -67,8 +67,8 @@ let pop t ctx =
         if head = Node.null then None
         else begin
           (* hazard-pointer schemes must pin head before dereferencing *)
-          sch.Scheme.traverse_protect ctx ~slot:0 ~addr:head
-            ~verify:(fun () -> Vmem.load vm ctx t.top = head);
+          sch.Scheme.traverse_protect ctx ~slot:0 ~addr:head ~link:t.top
+            ~expect:head;
           let next = Vmem.load vm ctx (Node.next_of head) in
           sch.Scheme.read_check ctx;
           let value = Vmem.load vm ctx head in

@@ -35,12 +35,12 @@ let rec push t ctx (d : Descriptor.t) =
 let rec pop t ctx =
   let h = Cell.get ctx t.head in
   match head_id h with
-  | -1 -> None
+  | -1 -> -1
   | id ->
       let d = t.get id in
       let next = Cell.get ctx d.Descriptor.next in
       let desired = pack ~id:next ~tag:(head_tag h + 1) in
-      if Cell.cas ctx t.head ~expect:h ~desired then Some d
+      if Cell.cas ctx t.head ~expect:h ~desired then id
       else begin
         Engine.Mem.pause ctx;
         pop t ctx

@@ -9,7 +9,9 @@ val create : Cell.heap -> get:(int -> Descriptor.t) -> t
 (** [get] resolves descriptor ids (the registry lookup). *)
 
 val push : t -> Engine.ctx -> Descriptor.t -> unit
-val pop : t -> Engine.ctx -> Descriptor.t option
+val pop : t -> Engine.ctx -> int
+(** Id of the popped descriptor, or [-1] when the list is empty. *)
+
 val is_empty : Engine.ctx -> t -> bool
 
 val peek_ids : t -> int list

@@ -27,23 +27,28 @@ let field_bits = 20
 let field_mask = (1 lsl field_bits) - 1
 let tag_mask = field_mask
 
+(* The allocator reads, tests and CASes the packed word itself; the
+   [anchor] record is only a view for tests and printing. *)
+let make_anchor ~state ~avail ~count ~tag =
+  assert (avail >= 0 && avail <= field_mask);
+  assert (count >= 0 && count <= field_mask);
+  state_to_int state
+  lor (avail lsl 2)
+  lor (count lsl (2 + field_bits))
+  lor ((tag land tag_mask) lsl (2 + (2 * field_bits)))
+
+let state_of w = state_of_int (w land 3)
+let avail_of w = (w lsr 2) land field_mask
+let count_of w = (w lsr (2 + field_bits)) land field_mask
+let tag_of w = (w lsr (2 + (2 * field_bits))) land tag_mask
+
 type anchor = { state : state; avail : int; count : int; tag : int }
 
 let pack a =
-  assert (a.avail >= 0 && a.avail <= field_mask);
-  assert (a.count >= 0 && a.count <= field_mask);
-  state_to_int a.state
-  lor (a.avail lsl 2)
-  lor (a.count lsl (2 + field_bits))
-  lor ((a.tag land tag_mask) lsl (2 + (2 * field_bits)))
+  make_anchor ~state:a.state ~avail:a.avail ~count:a.count ~tag:a.tag
 
 let unpack w =
-  {
-    state = state_of_int (w land 3);
-    avail = (w lsr 2) land field_mask;
-    count = (w lsr (2 + field_bits)) land field_mask;
-    tag = (w lsr (2 + (2 * field_bits))) land tag_mask;
-  }
+  { state = state_of w; avail = avail_of w; count = count_of w; tag = tag_of w }
 
 type t = {
   id : int;
@@ -60,7 +65,9 @@ type t = {
 let make heap ~id =
   {
     id;
-    anchor = Cell.make ~pad:true heap (pack { state = Empty; avail = 0; count = 0; tag = 0 });
+    anchor =
+      Cell.make ~pad:true heap
+        (make_anchor ~state:Empty ~avail:0 ~count:0 ~tag:0);
     next = Cell.make heap 0;
     sb_start = 0;
     size_class = -1;
@@ -70,13 +77,10 @@ let make heap ~id =
     pages = 0;
   }
 
-let read_anchor ctx t = unpack (Cell.get ctx t.anchor)
-
-let cas_anchor ctx t ~expect ~desired =
-  Cell.cas ctx t.anchor ~expect:(pack expect) ~desired:(pack desired)
-
-let set_anchor_unlogged t a = Cell.poke t.anchor (pack a)
-let peek_anchor t = unpack (Cell.peek t.anchor)
+let read_anchor ctx t = Cell.get ctx t.anchor
+let cas_anchor ctx t ~expect ~desired = Cell.cas ctx t.anchor ~expect ~desired
+let peek_word t = Cell.peek t.anchor
+let peek_anchor t = unpack (peek_word t)
 
 let block_addr t idx =
   assert (idx >= 0 && idx < t.max_count);

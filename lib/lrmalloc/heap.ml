@@ -169,16 +169,28 @@ let fill_batch t cls =
     (Size_class.blocks_per_superblock t.classes ~sb_words:(sb_words t) cls)
     t.cfg.Config.cache_blocks
 
-(* Build a superblock for size class [cls] and return its first [batch]
-   blocks for the requesting cache; the remainder is carved into the
-   superblock's free list and the superblock is published as partial.
-   Descriptor priority: persistent pool (range attached and size-class
-   compatible), then generic pool, then a fresh descriptor (§4). *)
-let acquire_superblock_raw t ctx ~cls ~persistent =
+(* Build a superblock for size class [cls], write its first [batch] blocks
+   to [out] for the requesting cache and return [batch]; the remainder is
+   carved into the superblock's free list and the superblock is published
+   as partial.  Descriptor priority: persistent pool (range attached and
+   size-class compatible), then generic pool, then a fresh descriptor
+   (§4). *)
+let acquire_superblock_raw t ctx ~cls ~persistent ~out =
   let npages = sb_pages t in
   let d =
     match Desc_list.pop t.persistent_pool ctx with
-    | Some d ->
+    | -1 -> (
+        match Desc_list.pop t.generic_pool ctx with
+        | -1 ->
+            let d = new_descriptor t in
+            attach_fresh_range t ctx d npages;
+            d
+        | id ->
+            let d = get_desc t id in
+            attach_fresh_range t ctx d npages;
+            d)
+    | id ->
+        let d = get_desc t id in
         assert (d.Descriptor.pages = npages);
         (match t.cfg.Config.remap with
         | Config.Shared_map ->
@@ -191,15 +203,6 @@ let acquire_superblock_raw t ctx ~cls ~persistent =
         notify_range t ~base:d.Descriptor.sb_start ~npages Range_carved;
         emit_transition t ctx d "range_reused";
         d
-    | None -> (
-        match Desc_list.pop t.generic_pool ctx with
-        | Some d ->
-            attach_fresh_range t ctx d npages;
-            d
-        | None ->
-            let d = new_descriptor t in
-            attach_fresh_range t ctx d npages;
-            d)
   in
   let bw = Size_class.block_words t.classes cls in
   d.Descriptor.size_class <- cls;
@@ -211,39 +214,36 @@ let acquire_superblock_raw t ctx ~cls ~persistent =
     ~vpage:(Geometry.page_of_addr t.geom d.Descriptor.sb_start)
     ~npages ~desc_id:d.Descriptor.id;
   let batch = min (fill_batch t cls) d.Descriptor.max_count in
-  let blocks = List.init batch (fun i -> Descriptor.block_addr d i) in
-  let tag = (Descriptor.peek_anchor d).Descriptor.tag + 1 in
+  for i = 0 to batch - 1 do
+    out.(i) <- Descriptor.block_addr d i
+  done;
+  let tag = Descriptor.tag_of (Descriptor.peek_word d) + 1 in
   if batch = d.Descriptor.max_count then
     (* born Full: every block goes to the caller's cache *)
     Cell.set ctx d.Descriptor.anchor
-      (Descriptor.pack
-         { Descriptor.state = Descriptor.Full; avail = 0; count = 0; tag })
+      (Descriptor.make_anchor ~state:Descriptor.Full ~avail:0 ~count:0 ~tag)
   else begin
     (* carve the remainder into the free list and publish as partial *)
     for i = batch to d.Descriptor.max_count - 1 do
       Vmem.store t.vmem ctx (Descriptor.block_addr d i) (i + 1)
     done;
     Cell.set ctx d.Descriptor.anchor
-      (Descriptor.pack
-         {
-           Descriptor.state = Descriptor.Partial;
-           avail = batch;
-           count = d.Descriptor.max_count - batch;
-           tag;
-         });
+      (Descriptor.make_anchor ~state:Descriptor.Partial ~avail:batch
+         ~count:(d.Descriptor.max_count - batch)
+         ~tag);
     Desc_list.push (partial_list t ~cls ~persistent) ctx d
   end;
-  (d, blocks)
+  batch
 
 (* Both superblock transitions run under an [Alloc_superblock] profiler
    span; nested remap syscalls show up as [Vmem_remap] children.  Wrappers
    are hand-eta-expanded so the disabled path allocates nothing. *)
-let acquire_superblock t ctx ~cls ~persistent =
+let acquire_superblock t ctx ~cls ~persistent ~out =
   let p = Engine.Mem.profile ctx in
   if Profile.enabled p then begin
     let tid = (Engine.Mem.tid ctx) in
     Profile.enter p ~tid ~now:(Engine.Mem.now ctx) Profile.Alloc_superblock;
-    match acquire_superblock_raw t ctx ~cls ~persistent with
+    match acquire_superblock_raw t ctx ~cls ~persistent ~out with
     | r ->
         Profile.leave p ~tid ~now:(Engine.Mem.now ctx);
         r
@@ -251,7 +251,7 @@ let acquire_superblock t ctx ~cls ~persistent =
         Profile.leave p ~tid ~now:(Engine.Mem.now ctx);
         raise e
   end
-  else acquire_superblock_raw t ctx ~cls ~persistent
+  else acquire_superblock_raw t ctx ~cls ~persistent ~out
 
 (* --- release ------------------------------------------------------------- *)
 
@@ -302,39 +302,37 @@ let release_superblock t ctx d =
 let rec free_block t ctx (d : Descriptor.t) addr =
   let idx = Descriptor.block_index d addr in
   let a = Descriptor.read_anchor ctx d in
+  let state = Descriptor.state_of a in
   (* Thread the block onto the free list: its first word stores the index
      of the previous head.  Writing before the CAS is safe: the block is
      not visible to any allocator until the CAS succeeds, and optimistic
      readers ignore what they read here (the paper's §3.1 contract). *)
-  Vmem.store t.vmem ctx addr a.Descriptor.avail;
-  let new_count = a.Descriptor.count + 1 in
+  Vmem.store t.vmem ctx addr (Descriptor.avail_of a);
+  let new_count = Descriptor.count_of a + 1 in
   assert (new_count <= d.Descriptor.max_count);
-  assert (a.Descriptor.state <> Descriptor.Empty);
+  assert (state <> Descriptor.Empty);
   let keep_resident =
     d.Descriptor.persistent && t.cfg.Config.remap = Config.Keep_resident
   in
   let becomes_empty = new_count = d.Descriptor.max_count && not keep_resident in
+  let new_state =
+    if becomes_empty then Descriptor.Empty else Descriptor.Partial
+  in
   let desired =
-    {
-      Descriptor.state =
-        (if becomes_empty then Descriptor.Empty else Descriptor.Partial);
-      avail = idx;
-      count = new_count;
-      tag = a.Descriptor.tag + 1;
-    }
+    Descriptor.make_anchor ~state:new_state ~avail:idx ~count:new_count
+      ~tag:(Descriptor.tag_of a + 1)
   in
   if Descriptor.cas_anchor ctx d ~expect:a ~desired then begin
-    if desired.Descriptor.state <> a.Descriptor.state then
-      emit_transition t ctx d
-        (Descriptor.state_name desired.Descriptor.state);
+    if new_state <> state then
+      emit_transition t ctx d (Descriptor.state_name new_state);
     if becomes_empty then
       (* If the descriptor is currently linked in its partial list the
          release is deferred to the popper; an unlinked descriptor can only
          become Empty through the popper itself (see take_partial), so
          releasing here is correct exactly when it was never re-linked,
          i.e. when the previous state was Full. *)
-      (if a.Descriptor.state = Descriptor.Full then release_superblock t ctx d)
-    else if a.Descriptor.state = Descriptor.Full then
+      (if state = Descriptor.Full then release_superblock t ctx d)
+    else if state = Descriptor.Full then
       Desc_list.push
         (partial_list t ~cls:d.Descriptor.size_class
            ~persistent:d.Descriptor.persistent)
@@ -347,85 +345,87 @@ let rec free_block t ctx (d : Descriptor.t) addr =
 
 (* --- partial reservation -------------------------------------------------- *)
 
+(* Follow free-list links from block index [idx], writing the addresses of
+   blocks [i, n) to [out]; returns the index past the last one, or -1 when
+   a link read mid-race is out of range. *)
+let rec walk t ctx (d : Descriptor.t) out i n idx =
+  if idx < 0 || idx >= d.Descriptor.max_count then -1
+  else if i = n then idx
+  else begin
+    let addr = Descriptor.block_addr d idx in
+    out.(i) <- addr;
+    walk t ctx d out (i + 1) n (Vmem.load t.vmem ctx addr)
+  end
+
 (* Pop a partial superblock of [cls] and reserve up to [max_blocks] of its
    free blocks: walk that many free-list links from the observed head, then
    CAS the anchor past them.  A concurrent free or reservation changes the
    anchor tag and fails the CAS, in which case the walk is redone — the
    links themselves are stable while the anchor still matches, because a
    block's link is only rewritten once the block has been taken through an
-   anchor transition.  Returns the reserved block addresses (head first).
+   anchor transition.  Writes the reserved block addresses (head first) to
+   [out] and returns how many; 0 when no partial superblock is left.
    Empty superblocks encountered here are released on the spot. *)
-let rec take_partial t ctx ~cls ~persistent ~max_blocks =
+let rec take_partial t ctx ~cls ~persistent ~max_blocks ~out =
   let list = partial_list t ~cls ~persistent in
   match Desc_list.pop list ctx with
-  | None -> None
-  | Some d ->
-      let rec reserve () =
-        let a = Descriptor.read_anchor ctx d in
-        match a.Descriptor.state with
-        | Descriptor.Empty ->
-            release_superblock t ctx d;
-            take_partial t ctx ~cls ~persistent ~max_blocks
-        | Descriptor.Full ->
-            (* lost every block to races before we got here; drop it, it
-               will be re-pushed on the next Full->Partial transition *)
-            take_partial t ctx ~cls ~persistent ~max_blocks
-        | Descriptor.Partial ->
-            assert (a.Descriptor.count > 0);
-            let k = min a.Descriptor.count max_blocks in
-            (* Collect k blocks and the link past the last one.  A racing
-               owner may rewrite a link we read (making it garbage); any
-               such race also bumps the anchor tag, so the CAS below fails
-               and we retry — the range check merely keeps the stale walk
-               from crashing. *)
-            let rec walk n idx acc =
-              if idx < 0 || idx >= d.Descriptor.max_count then None
-              else if n = 0 then Some (List.rev acc, idx)
-              else
-                let addr = Descriptor.block_addr d idx in
-                walk (n - 1) (Vmem.load t.vmem ctx addr) (addr :: acc)
-            in
-            let walked =
-              if k = a.Descriptor.count then
-                (* taking everything: the trailing link is irrelevant *)
-                walk (k - 1) a.Descriptor.avail []
-                |> Option.map (fun (blocks, last) ->
-                       (blocks @ [ Descriptor.block_addr d last ], 0))
-              else walk k a.Descriptor.avail []
-            in
-            (match walked with
-            | None ->
-                Engine.Mem.pause ctx;
-                reserve ()
-            | Some (blocks, next_avail) ->
-                let desired =
-                  if k = a.Descriptor.count then
-                    {
-                      Descriptor.state = Descriptor.Full;
-                      avail = 0;
-                      count = 0;
-                      tag = a.Descriptor.tag + 1;
-                    }
-                  else
-                    {
-                      Descriptor.state = Descriptor.Partial;
-                      avail = next_avail;
-                      count = a.Descriptor.count - k;
-                      tag = a.Descriptor.tag + 1;
-                    }
-                in
-                if Descriptor.cas_anchor ctx d ~expect:a ~desired then begin
-                  (* still partial: make it findable again *)
-                  if desired.Descriptor.state = Descriptor.Partial then
-                    Desc_list.push list ctx d;
-                  Some blocks
-                end
-                else begin
-                  Engine.Mem.pause ctx;
-                  reserve ()
-                end)
+  | -1 -> 0
+  | id -> reserve t ctx list (get_desc t id) ~cls ~persistent ~max_blocks ~out
+
+and reserve t ctx list d ~cls ~persistent ~max_blocks ~out =
+  let a = Descriptor.read_anchor ctx d in
+  match Descriptor.state_of a with
+  | Descriptor.Empty ->
+      release_superblock t ctx d;
+      take_partial t ctx ~cls ~persistent ~max_blocks ~out
+  | Descriptor.Full ->
+      (* lost every block to races before we got here; drop it, it will be
+         re-pushed on the next Full->Partial transition *)
+      take_partial t ctx ~cls ~persistent ~max_blocks ~out
+  | Descriptor.Partial ->
+      let count = Descriptor.count_of a in
+      assert (count > 0);
+      let k = min count max_blocks in
+      (* Collect k blocks and the link past the last one.  A racing owner
+         may rewrite a link we read (making it garbage); any such race also
+         bumps the anchor tag, so the CAS below fails and we retry — the
+         range check merely keeps the stale walk from crashing. *)
+      let next_avail =
+        if k = count then begin
+          (* taking everything: the trailing link is irrelevant *)
+          let last = walk t ctx d out 0 (k - 1) (Descriptor.avail_of a) in
+          if last < 0 then -1
+          else begin
+            out.(k - 1) <- Descriptor.block_addr d last;
+            0
+          end
+        end
+        else walk t ctx d out 0 k (Descriptor.avail_of a)
       in
-      reserve ()
+      if next_avail < 0 then begin
+        Engine.Mem.pause ctx;
+        reserve t ctx list d ~cls ~persistent ~max_blocks ~out
+      end
+      else begin
+        let tag = Descriptor.tag_of a + 1 in
+        let desired =
+          if k = count then
+            Descriptor.make_anchor ~state:Descriptor.Full ~avail:0 ~count:0
+              ~tag
+          else
+            Descriptor.make_anchor ~state:Descriptor.Partial
+              ~avail:next_avail ~count:(count - k) ~tag
+        in
+        if Descriptor.cas_anchor ctx d ~expect:a ~desired then begin
+          (* still partial: make it findable again *)
+          if k < count then Desc_list.push list ctx d;
+          k
+        end
+        else begin
+          Engine.Mem.pause ctx;
+          reserve t ctx list d ~cls ~persistent ~max_blocks ~out
+        end
+      end
 
 (* Release every Empty superblock still sitting in the partial lists.
    Used at teardown and by the memory-release experiments. *)
@@ -434,9 +434,10 @@ let trim t ctx =
     (fun list ->
       let rec drain keep =
         match Desc_list.pop list ctx with
-        | None -> keep
-        | Some d -> (
-            match (Descriptor.read_anchor ctx d).Descriptor.state with
+        | -1 -> keep
+        | id -> (
+            let d = get_desc t id in
+            match Descriptor.state_of (Descriptor.read_anchor ctx d) with
             | Descriptor.Empty ->
                 release_superblock t ctx d;
                 drain keep
@@ -453,8 +454,8 @@ let alloc_large t ctx size =
   let npages = (size + pw - 1) / pw in
   let d =
     match Desc_list.pop t.generic_pool ctx with
-    | Some d -> d
-    | None -> new_descriptor t
+    | -1 -> new_descriptor t
+    | id -> get_desc t id
   in
   attach_fresh_range t ctx d npages;
   d.Descriptor.size_class <- -1;
@@ -464,9 +465,9 @@ let alloc_large t ctx size =
   Pagemap.set_range t.pagemap ctx
     ~vpage:(Geometry.page_of_addr t.geom d.Descriptor.sb_start)
     ~npages ~desc_id:d.Descriptor.id;
-  let tag = (Descriptor.peek_anchor d).Descriptor.tag + 1 in
+  let tag = Descriptor.tag_of (Descriptor.peek_word d) + 1 in
   Cell.set ctx d.Descriptor.anchor
-    (Descriptor.pack { Descriptor.state = Descriptor.Full; avail = 0; count = 0; tag });
+    (Descriptor.make_anchor ~state:Descriptor.Full ~avail:0 ~count:0 ~tag);
   t.stats.large_allocs <- t.stats.large_allocs + 1;
   d.Descriptor.sb_start
 
@@ -477,16 +478,18 @@ let free_large t ctx (d : Descriptor.t) =
   Vmem.unmap t.vmem ctx ~vpage ~npages:d.Descriptor.pages;
   notify_range t ~base ~npages:d.Descriptor.pages Range_released;
   d.Descriptor.sb_start <- 0;
-  let tag = (Descriptor.peek_anchor d).Descriptor.tag + 1 in
+  let tag = Descriptor.tag_of (Descriptor.peek_word d) + 1 in
   Cell.set ctx d.Descriptor.anchor
-    (Descriptor.pack { Descriptor.state = Descriptor.Empty; avail = 0; count = 0; tag });
+    (Descriptor.make_anchor ~state:Descriptor.Empty ~avail:0 ~count:0 ~tag);
   t.stats.large_frees <- t.stats.large_frees + 1;
   Desc_list.push t.generic_pool ctx d
 
 (* --- lookups -------------------------------------------------------------- *)
 
 let lookup_desc t ctx addr =
-  Option.map (get_desc t) (Pagemap.lookup t.pagemap ctx addr)
+  match Pagemap.lookup t.pagemap ctx addr with
+  | -1 -> raise Not_found
+  | id -> get_desc t id
 
 let stats t = t.stats
 

@@ -42,9 +42,10 @@ val fill_batch : t -> int -> int
 (** Target number of blocks per cache fill for a class. *)
 
 val acquire_superblock :
-  t -> Engine.ctx -> cls:int -> persistent:bool -> Descriptor.t * int list
-(** Build a superblock and return its first fill batch; the rest is carved
-    into the superblock's free list and published as partial. *)
+  t -> Engine.ctx -> cls:int -> persistent:bool -> out:int array -> int
+(** Build a superblock, write its first fill batch to [out] and return the
+    batch size; the rest is carved into the superblock's free list and
+    published as partial. *)
 
 val take_partial :
   t ->
@@ -52,9 +53,12 @@ val take_partial :
   cls:int ->
   persistent:bool ->
   max_blocks:int ->
-  int list option
-(** Reserve up to [max_blocks] blocks from a partial superblock.  Empty
-    superblocks found on the way are released. *)
+  out:int array ->
+  int
+(** Reserve up to [max_blocks] blocks from a partial superblock, writing
+    their addresses to [out]; returns how many, 0 when no partial
+    superblock is left.  Empty superblocks found on the way are
+    released. *)
 
 val free_block : t -> Engine.ctx -> Descriptor.t -> int -> unit
 (** Return one block (the Fig. 2 anchor state machine). *)
@@ -66,8 +70,9 @@ val trim : t -> Engine.ctx -> unit
 val alloc_large : t -> Engine.ctx -> int -> int
 val free_large : t -> Engine.ctx -> Descriptor.t -> unit
 
-val lookup_desc : t -> Engine.ctx -> int -> Descriptor.t option
-(** Descriptor owning an address, via the pagemap (charged). *)
+val lookup_desc : t -> Engine.ctx -> int -> Descriptor.t
+(** Descriptor owning an address, via the pagemap (charged).  Raises
+    [Not_found] for an address no superblock owns. *)
 
 val get_desc : t -> int -> Descriptor.t
 val descriptor_count : t -> int

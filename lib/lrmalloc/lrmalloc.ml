@@ -34,6 +34,10 @@ type t = {
   caches : Thread_cache.t;
   classes : Size_class.t;
   geom : Geometry.t;
+  fill_bufs : int array array;
+      (* per tid: the blocks of the cache fill in progress.  Per thread,
+         because a fill yields between reserving its blocks and pushing
+         them, and another thread may fill meanwhile. *)
   mutable lifecycle : lifecycle option;
 }
 
@@ -42,22 +46,29 @@ let create ?(cfg = Config.default) ?(classes = Size_class.default) ~vmem ~meta
   let geom = Vmem.geometry vmem in
   let heap = Heap.create ~cfg ~classes ~vmem ~meta () in
   let caches = Thread_cache.create ~meta ~geom ~classes ~cfg ~nthreads in
-  { heap; caches; classes; geom; lifecycle = None }
+  let fill_bufs =
+    Array.init nthreads (fun _ -> Array.make cfg.Config.cache_blocks 0)
+  in
+  { heap; caches; classes; geom; fill_bufs; lifecycle = None }
 
 let heap t = t.heap
 let vmem t = Heap.vmem t.heap
 let config t = Heap.config t.heap
 let set_lifecycle t h = t.lifecycle <- h
 
-(* Open a profiler span around an allocator entry point.  The enabled check
-   comes first so the disabled path costs one load and a branch. *)
-let with_span ctx frame f =
+(* The entry points below take their work as a closed top-level function
+   [f] applied to [t ctx a b], so that wrapping it allocates nothing: no
+   closure is built per call. *)
+
+(* Run [f t ctx a b] under a profiler span.  The enabled check comes first
+   so the disabled path costs one load and a branch. *)
+let spanned frame f t ctx a b =
   let p = Engine.Mem.profile ctx in
-  if not (Profile.enabled p) then f ()
+  if not (Profile.enabled p) then f t ctx a b
   else begin
-    let tid = (Engine.Mem.tid ctx) in
+    let tid = Engine.Mem.tid ctx in
     Profile.enter p ~tid ~now:(Engine.Mem.now ctx) frame;
-    match f () with
+    match f t ctx a b with
     | r ->
         Profile.leave p ~tid ~now:(Engine.Mem.now ctx);
         r
@@ -66,63 +77,63 @@ let with_span ctx frame f =
         raise e
   end
 
-(* Run [f] as an allocator-internal section: exempt from conditional-access
-   squashing (the allocator is trusted runtime code, not part of any
-   scheme's optimistic protocol — a revoked thread must still be able to
-   flush its cache or walk superblock anchors without its CASes failing
-   forever), and flagged for the lifecycle observer when one is attached. *)
-let with_internal t ctx f =
-  Engine.Mem.unconditional ctx (fun () ->
-      match t.lifecycle with
-      | None -> f ()
-      | Some h ->
-          h.enter ctx;
-          Fun.protect ~finally:(fun () -> h.leave ctx) f)
+(* Run [f t ctx a b] as an allocator-internal section: exempt from
+   conditional-access squashing (the allocator is trusted runtime code,
+   not part of any scheme's optimistic protocol — a revoked thread must
+   still be able to flush its cache or walk superblock anchors without its
+   CASes failing forever), and flagged for the lifecycle observer when one
+   is attached. *)
+let leave_internal t ctx =
+  (match t.lifecycle with None -> () | Some h -> h.leave ctx);
+  Engine.Mem.leave_unconditional ctx
 
-let emit t ctx kind =
-  let tr = Heap.trace t.heap in
-  if Trace.enabled tr then
-    Trace.emit tr ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx) kind
+let internal f t ctx a b =
+  Engine.Mem.enter_unconditional ctx;
+  (match t.lifecycle with None -> () | Some h -> h.enter ctx);
+  match f t ctx a b with
+  | r ->
+      leave_internal t ctx;
+      r
+  | exception e ->
+      leave_internal t ctx;
+      raise e
 
 (* Fill an empty cache stack with one batch of blocks: from a partial
    superblock's free list if one exists, otherwise from a fresh superblock.
    Blocks are pushed in reverse so they pop in the order the heap returned
    them (ascending addresses for a fresh superblock — good locality). *)
 let fill_cache t ctx ~cls ~persistent st =
-  let batch = Heap.fill_batch t.heap cls in
-  let blocks =
-    match Heap.take_partial t.heap ctx ~cls ~persistent ~max_blocks:batch with
-    | Some blocks -> blocks
-    | None ->
-        let _d, blocks = Heap.acquire_superblock t.heap ctx ~cls ~persistent in
-        blocks
+  let out = t.fill_bufs.(Engine.Mem.tid ctx) in
+  let max_blocks = Heap.fill_batch t.heap cls in
+  let n =
+    match Heap.take_partial t.heap ctx ~cls ~persistent ~max_blocks ~out with
+    | 0 -> Heap.acquire_superblock t.heap ctx ~cls ~persistent ~out
+    | n -> n
   in
-  List.iter
-    (fun addr -> Thread_cache.push t.caches ctx st addr)
-    (List.rev blocks)
+  for i = n - 1 downto 0 do
+    Thread_cache.push t.caches ctx st out.(i)
+  done
 
 let alloc_class_raw t ctx ~cls ~persistent =
   let st = Thread_cache.get t.caches ~tid:(Engine.Mem.tid ctx) ~cls ~persistent in
-  match Thread_cache.pop t.caches ctx st with
-  | Some addr -> addr
-  | None ->
-      fill_cache t ctx ~cls ~persistent st;
-      (match Thread_cache.pop t.caches ctx st with
-      | Some addr -> addr
-      | None -> assert false)
+  if Thread_cache.is_empty st then fill_cache t ctx ~cls ~persistent st;
+  Thread_cache.pop t.caches ctx st
 
 let flush_stack t ctx st =
-  Thread_cache.drain t.caches ctx st (fun addr ->
-      match Heap.lookup_desc t.heap ctx addr with
-      | Some d -> Heap.free_block t.heap ctx d addr
-      | None -> assert false)
+  while not (Thread_cache.is_empty st) do
+    let addr = Thread_cache.pop t.caches ctx st in
+    Heap.free_block t.heap ctx (Heap.lookup_desc t.heap ctx addr) addr
+  done
+
+let flush_stacks t ctx () () =
+  List.iter (flush_stack t ctx)
+    (Thread_cache.stacks_of_thread t.caches ~tid:(Engine.Mem.tid ctx))
+
+let flush_spanned t ctx () () = internal flush_stacks t ctx () ()
 
 (* Return every cached block of thread [tid] to the heap. *)
 let flush_thread_cache t ctx =
-  with_span ctx Profile.Alloc_flush (fun () ->
-      with_internal t ctx (fun () ->
-          List.iter (flush_stack t ctx)
-            (Thread_cache.stacks_of_thread t.caches ~tid:(Engine.Mem.tid ctx))))
+  spanned Profile.Alloc_flush flush_spanned t ctx () ()
 
 (* --- memory-pressure recovery --------------------------------------------- *)
 
@@ -152,31 +163,57 @@ let recover_pressure t ctx =
   let hs = Heap.stats t.heap in
   hs.Heap.pressure_recoveries <- hs.Heap.pressure_recoveries + 1
 
-let with_pressure_recovery t ctx f =
-  let cfg = Heap.config t.heap in
+(* The recovery round after attempt number [attempt] ran out of frames:
+   recover and back off (giving other threads simulated time to free
+   blocks) before the caller retries, or raise [Out_of_memory] once the
+   retries are spent or recovery itself runs out of frames. *)
+let relieve_pressure t ctx ~attempt =
   let fail () =
     let hs = Heap.stats t.heap in
     hs.Heap.pressure_failures <- hs.Heap.pressure_failures + 1;
     raise Out_of_memory
   in
+  if attempt >= (Heap.config t.heap).Config.pressure_max_retries then fail ();
+  match recover_pressure t ctx with
+  | () ->
+      for _ = 1 to 1 lsl attempt do
+        Engine.Mem.pause ctx
+      done
+  | exception Frames.Out_of_frames -> fail ()
+
+let with_pressure_recovery t ctx f =
   let rec go attempt =
-    try f () with
-    | Frames.Out_of_frames when attempt < cfg.Config.pressure_max_retries -> (
-        match recover_pressure t ctx with
-        | () ->
-            (* backoff: give other threads simulated time to free blocks *)
-            for _ = 1 to 1 lsl attempt do
-              Engine.Mem.pause ctx
-            done;
-            go (attempt + 1)
-        | exception Frames.Out_of_frames -> fail ())
-    | Frames.Out_of_frames -> fail ()
+    match f () with
+    | r -> r
+    | exception Frames.Out_of_frames ->
+        relieve_pressure t ctx ~attempt;
+        go (attempt + 1)
   in
   go 0
 
-let alloc_class t ctx ~cls ~persistent =
-  with_pressure_recovery t ctx (fun () ->
-      alloc_class_raw t ctx ~cls ~persistent)
+(* The allocator's own retry loops under the same net, without a closure
+   per call. *)
+let rec alloc_class t ctx ~cls ~persistent ~attempt =
+  match alloc_class_raw t ctx ~cls ~persistent with
+  | addr -> addr
+  | exception Frames.Out_of_frames ->
+      relieve_pressure t ctx ~attempt;
+      alloc_class t ctx ~cls ~persistent ~attempt:(attempt + 1)
+
+let rec alloc_large t ctx size ~attempt =
+  match Heap.alloc_large t.heap ctx size with
+  | addr -> addr
+  | exception Frames.Out_of_frames ->
+      relieve_pressure t ctx ~attempt;
+      alloc_large t ctx size ~attempt:(attempt + 1)
+
+(* A full-cache flush writes free-list links, which can fault frames in. *)
+let rec flush_full t ctx st ~attempt =
+  match flush_stack t ctx st with
+  | () -> ()
+  | exception Frames.Out_of_frames ->
+      relieve_pressure t ctx ~attempt;
+      flush_full t ctx st ~attempt:(attempt + 1)
 
 (* The observer is told the block's *real* extent (the size-class block
    size, not the requested size) so its shadow state covers every word the
@@ -185,67 +222,60 @@ let notify_alloc t ctx ~addr ~size ~persistent =
   match t.lifecycle with
   | None -> ()
   | Some h ->
-      let words =
-        match Size_class.of_size t.classes size with
-        | Some cls -> Size_class.block_words t.classes cls
-        | None -> size
-      in
+      let cls = Size_class.of_size t.classes size in
+      let words = if cls >= 0 then Size_class.block_words t.classes cls else size in
       h.block_alloc ctx ~addr ~words ~persistent
 
-let malloc t ctx size =
-  with_span ctx Profile.Alloc_malloc (fun () ->
-      let addr =
-        with_internal t ctx (fun () ->
-            match Size_class.of_size t.classes size with
-            | Some cls -> alloc_class t ctx ~cls ~persistent:false
-            | None ->
-                with_pressure_recovery t ctx (fun () ->
-                    Heap.alloc_large t.heap ctx size))
-      in
-      notify_alloc t ctx ~addr ~size ~persistent:false;
-      emit t ctx (Trace.Alloc { addr; words = size });
-      addr)
+(* [palloc] rejects large sizes before getting here. *)
+let alloc_internal t ctx size persistent =
+  let cls = Size_class.of_size t.classes size in
+  if cls >= 0 then alloc_class t ctx ~cls ~persistent ~attempt:0
+  else alloc_large t ctx size ~attempt:0
+
+let alloc_spanned t ctx size persistent =
+  let addr = internal alloc_internal t ctx size persistent in
+  notify_alloc t ctx ~addr ~size ~persistent;
+  let tr = Heap.trace t.heap in
+  if Trace.enabled tr then
+    Trace.emit tr ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx)
+      (Trace.Alloc { addr; words = size });
+  addr
+
+let malloc t ctx size = spanned Profile.Alloc_malloc alloc_spanned t ctx size false
 
 (* Persistent allocation: the block's address range survives free (§3). *)
 let palloc t ctx size =
-  match Size_class.of_size t.classes size with
-  | Some cls ->
-      with_span ctx Profile.Alloc_malloc (fun () ->
-          let addr =
-            with_internal t ctx (fun () ->
-                alloc_class t ctx ~cls ~persistent:true)
-          in
-          notify_alloc t ctx ~addr ~size ~persistent:true;
-          emit t ctx (Trace.Alloc { addr; words = size });
-          addr)
-  | None ->
-      invalid_arg
-        "Lrmalloc.palloc: persistent allocation is restricted to size-class \
-         sizes (paper, section 4)"
+  if Size_class.of_size t.classes size < 0 then
+    invalid_arg
+      "Lrmalloc.palloc: persistent allocation is restricted to size-class \
+       sizes (paper, section 4)";
+  spanned Profile.Alloc_malloc alloc_spanned t ctx size true
 
-let free t ctx addr =
-  with_span ctx Profile.Alloc_free (fun () ->
-      match Heap.lookup_desc t.heap ctx addr with
-      | None -> invalid_arg "Lrmalloc.free: not an allocated block"
-      | Some d ->
-          (match t.lifecycle with
-          | None -> ()
-          | Some h -> h.block_free ctx ~addr ~words:d.Descriptor.block_words);
-          emit t ctx (Trace.Free { addr });
-          with_internal t ctx (fun () ->
-              if Descriptor.is_large d then Heap.free_large t.heap ctx d
-              else begin
-                let st =
-                  Thread_cache.get t.caches ~tid:(Engine.Mem.tid ctx)
-                    ~cls:d.Descriptor.size_class
-                    ~persistent:d.Descriptor.persistent
-                in
-                (* A full-cache flush writes free-list links, which can fault
-                   frames in — run it under the recovery net too. *)
-                if Thread_cache.is_full st then
-                  with_pressure_recovery t ctx (fun () -> flush_stack t ctx st);
-                Thread_cache.push t.caches ctx st addr
-              end))
+let free_internal t ctx (d : Descriptor.t) addr =
+  if Descriptor.is_large d then Heap.free_large t.heap ctx d
+  else begin
+    let st =
+      Thread_cache.get t.caches ~tid:(Engine.Mem.tid ctx)
+        ~cls:d.Descriptor.size_class ~persistent:d.Descriptor.persistent
+    in
+    if Thread_cache.is_full st then flush_full t ctx st ~attempt:0;
+    Thread_cache.push t.caches ctx st addr
+  end
+
+let free_spanned t ctx addr () =
+  match Heap.lookup_desc t.heap ctx addr with
+  | exception Not_found -> invalid_arg "Lrmalloc.free: not an allocated block"
+  | d ->
+      (match t.lifecycle with
+      | None -> ()
+      | Some h -> h.block_free ctx ~addr ~words:d.Descriptor.block_words);
+      let tr = Heap.trace t.heap in
+      if Trace.enabled tr then
+        Trace.emit tr ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx)
+          (Trace.Free { addr });
+      internal free_internal t ctx d addr
+
+let free t ctx addr = spanned Profile.Alloc_free free_spanned t ctx addr ()
 
 (* Teardown helper: flush all threads' caches (with their own tids encoded
    in the given contexts) and release lingering empty superblocks. *)

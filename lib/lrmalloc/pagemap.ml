@@ -46,13 +46,13 @@ let clear_range t ctx ~vpage ~npages =
     Atomic.set t.entries.(p) 0
   done
 
-(* Descriptor id owning [addr], if any. *)
+(* Descriptor id owning [addr], or -1. *)
 let lookup t ctx addr =
   let vpage = Geometry.page_of_addr t.geom addr in
-  if vpage < 0 || vpage >= t.max_pages then None
+  if vpage < 0 || vpage >= t.max_pages then -1
   else begin
     account ctx t vpage Engine.Load;
-    match Atomic.get t.entries.(vpage) with 0 -> None | id -> Some (id - 1)
+    Atomic.get t.entries.(vpage) - 1
   end
 
 let peek t addr =

@@ -9,8 +9,8 @@ val create : geom:Geometry.t -> max_pages:int -> t
 val set_range : t -> Engine.ctx -> vpage:int -> npages:int -> desc_id:int -> unit
 val clear_range : t -> Engine.ctx -> vpage:int -> npages:int -> unit
 
-val lookup : t -> Engine.ctx -> int -> int option
-(** Descriptor id owning the page of [addr]. *)
+val lookup : t -> Engine.ctx -> int -> int
+(** Descriptor id owning the page of [addr], or [-1]. *)
 
 val peek : t -> int -> int option
 (** Uncosted lookup (tests, assertions). *)

@@ -30,18 +30,18 @@ let count t = Array.length t.sizes
 let block_words t cls = t.sizes.(cls)
 let max_size t = t.sizes.(Array.length t.sizes - 1)
 
-(* Smallest class whose block size covers [size]; None for large requests.
+(* Smallest class whose block size covers [size]; -1 for large requests.
    Binary search over the (small, sorted) table. *)
 let of_size t size =
   if size <= 0 then invalid_arg "Size_class.of_size: size must be positive";
-  if size > max_size t then None
+  if size > max_size t then -1
   else begin
     let lo = ref 0 and hi = ref (Array.length t.sizes - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if t.sizes.(mid) >= size then hi := mid else lo := mid + 1
     done;
-    Some !lo
+    !lo
   end
 
 let blocks_per_superblock t ~sb_words cls =

@@ -14,8 +14,8 @@ val count : t -> int
 val block_words : t -> int -> int
 val max_size : t -> int
 
-val of_size : t -> int -> int option
-(** Smallest covering class, or [None] for large requests. *)
+val of_size : t -> int -> int
+(** Smallest covering class, or [-1] for large requests. *)
 
 val blocks_per_superblock : t -> sb_words:int -> int -> int
 val pp : Format.formatter -> t -> unit

@@ -70,6 +70,7 @@ let account t ctx st kind =
   Engine.Mem.access ctx ~vpage:(Geometry.page_of_addr t.geom paddr) ~paddr ~kind
 
 let is_full st = st.top >= st.cap
+let is_empty st = st.top = 0
 let size st = st.top
 
 let push t ctx st addr =
@@ -79,18 +80,10 @@ let push t ctx st addr =
   st.top <- st.top + 1
 
 let pop t ctx st =
-  if st.top = 0 then None
-  else begin
-    st.top <- st.top - 1;
-    account t ctx st Engine.Load;
-    Some st.arr.(st.top)
-  end
-
-(* Iterate and empty the stack (cache flush). *)
-let drain t ctx st f =
-  while st.top > 0 do
-    match pop t ctx st with Some a -> f a | None -> assert false
-  done
+  assert (not (is_empty st));
+  st.top <- st.top - 1;
+  account t ctx st Engine.Load;
+  st.arr.(st.top)
 
 (* Every live stack of one thread (teardown). *)
 let stacks_of_thread t ~tid =

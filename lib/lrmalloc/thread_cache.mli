@@ -19,9 +19,12 @@ val create :
 val capacity : t -> int -> int
 val get : t -> tid:int -> cls:int -> persistent:bool -> stack
 val is_full : stack -> bool
+val is_empty : stack -> bool
 val size : stack -> int
 val push : t -> Engine.ctx -> stack -> int -> unit
-val pop : t -> Engine.ctx -> stack -> int option
-val drain : t -> Engine.ctx -> stack -> (int -> unit) -> unit
+
+val pop : t -> Engine.ctx -> stack -> int
+(** The most recently pushed block; the stack must not be empty. *)
+
 val stacks_of_thread : t -> tid:int -> stack list
 val nthreads : t -> int

@@ -207,7 +207,7 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
         batch_ops.(tid) <- batch_ops.(tid) + 1);
     end_op = (fun _ -> () (* still announced: the batch spans ops *));
     read_check = (fun _ -> ());
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun _ctx ~slot:_ _ -> ());
     validate = (fun _ -> ());
     clear = (fun _ -> ());

@@ -88,7 +88,7 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
         Engine.Mem.fence ctx Engine.Full);
     end_op = (fun ctx -> Cell.set ctx announces.((Engine.Mem.tid ctx)) 0);
     read_check = (fun _ -> ());
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun _ctx ~slot:_ _ -> ());
     validate = (fun _ -> ());
     clear = (fun _ -> ());

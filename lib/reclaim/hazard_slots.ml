@@ -22,7 +22,10 @@ let create ?(padded = true) meta ~nthreads ~k =
 let set ctx t ~slot addr = Cell.set ctx t.slots.((Engine.Mem.tid ctx)).(slot) addr
 
 let clear ctx t =
-  Array.iter (fun c -> Cell.set ctx c 0) t.slots.((Engine.Mem.tid ctx))
+  let row = t.slots.(Engine.Mem.tid ctx) in
+  for i = 0 to Array.length row - 1 do
+    Cell.set ctx row.(i) 0
+  done
 
 (* Read every thread's slots (charged) into a membership test.  The
    snapshot is small (nthreads * k), so a sorted list is fine. *)

@@ -21,7 +21,8 @@ let caps : Scheme.caps =
 
 let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
     ~nthreads : Scheme.ops =
-  let geom = Oamem_vmem.Vmem.geometry (Oamem_lrmalloc.Lrmalloc.vmem lr) in
+  let vmem = Oamem_lrmalloc.Lrmalloc.vmem lr in
+  let geom = Oamem_vmem.Vmem.geometry vmem in
   let hazards =
     Hazard_slots.create ~padded:cfg.Scheme.hazard_padded meta ~nthreads
       ~k:cfg.Scheme.slots_per_thread
@@ -58,11 +59,12 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
     end_op = (fun _ -> ());
     read_check = (fun _ -> ());
     traverse_protect =
-      (fun ctx ~slot ~addr ~verify ->
+      (fun ctx ~slot ~addr ~link ~expect ->
         (* publish, fence, re-verify the source link: the per-node cost *)
         Hazard_slots.set ctx hazards ~slot addr;
         Engine.Mem.fence ctx Engine.Full;
-        if not (verify ()) then raise Scheme.Restart);
+        if Oamem_vmem.Vmem.load vmem ctx link <> expect then
+          raise Scheme.Restart);
     write_protect = (fun ctx ~slot addr -> Hazard_slots.set ctx hazards ~slot addr);
     validate = (fun _ -> ());
     clear = (fun ctx -> Hazard_slots.clear ctx hazards);

@@ -118,7 +118,7 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
           Cell.set ctx t.hi e;
           Engine.Mem.fence ctx Engine.Full
         end);
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun _ctx ~slot:_ _ -> ());
     validate = (fun _ -> ());
     clear = (fun _ -> ());

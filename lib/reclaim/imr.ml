@@ -104,7 +104,7 @@ let make (_cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t)
     begin_op = join;
     end_op = (fun _ -> ());
     read_check;
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun _ctx ~slot:_ _ -> ());
     validate =
       (fun ctx ->

@@ -30,7 +30,7 @@ let make (_cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t)
     begin_op = (fun _ -> ());
     end_op = (fun _ -> ());
     read_check = (fun _ -> ());
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun _ctx ~slot:_ _ -> ());
     validate = (fun _ -> ());
     clear = (fun _ -> ());

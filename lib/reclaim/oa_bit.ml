@@ -84,7 +84,7 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
     begin_op = (fun _ -> ());
     end_op = (fun _ -> ());
     read_check;
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun ctx ~slot addr -> Hazard_slots.set ctx hazards ~slot addr);
     validate =
       (fun ctx ->

@@ -112,7 +112,7 @@ let make (cfg : Scheme.config) ~alloc:(lr : Oamem_lrmalloc.Lrmalloc.t) ~meta
         t.local_clock <- Cell.get ctx global_clock);
     end_op = (fun _ -> ());
     read_check;
-    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~verify:_ -> ());
+    traverse_protect = (fun _ctx ~slot:_ ~addr:_ ~link:_ ~expect:_ -> ());
     write_protect = (fun ctx ~slot addr -> Hazard_slots.set ctx hazards ~slot addr);
     validate =
       (fun ctx ->

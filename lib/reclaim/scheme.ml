@@ -9,7 +9,8 @@
      invalidated what was just read (OA warning bit / version clock);
    - [traverse_protect] is called before *dereferencing* a traversal
      pointer; only hazard-pointer-style schemes do work here (publish the
-     pointer, fence, re-verify via [verify], raising {!Restart} on failure);
+     pointer, fence, re-load the source link and check it still holds the
+     expected value, raising {!Restart} on failure);
    - [write_protect] + [validate] bracket a CAS: protect every node the CAS
      involves with hazard pointers, then validate once (for OA this is the
      single warning check + fence of §2.4);
@@ -84,7 +85,8 @@ let reset_stats s =
 (* The shared emit path: every scheme (and the data structures driving one)
    reports reclamation activity through a sink, which bumps the stats record
    and mirrors the event into the attached trace / histogram.  The trace
-   defaults to [Trace.null] so the disabled path is a dead branch. *)
+   defaults to [Trace.null]; events are built only once the trace is known
+   to be enabled, so the disabled path allocates nothing. *)
 type sink = {
   stats : stats;
   mutable trace : Trace.t;
@@ -96,12 +98,11 @@ let fresh_sink () =
   { stats = fresh_stats (); trace = Trace.null; reclaim_hist = None }
 
 let emit sink ctx kind =
-  if Trace.enabled sink.trace then
-    Trace.emit sink.trace ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx) kind
+  Trace.emit sink.trace ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx) kind
 
 let note_retired sink ctx addr =
   sink.stats.retired <- sink.stats.retired + 1;
-  emit sink ctx (Trace.Retire { addr })
+  if Trace.enabled sink.trace then emit sink ctx (Trace.Retire { addr })
 
 (* Frees outside a reclaim phase (immediate frees, teardown flushes). *)
 let note_freed sink n = sink.stats.freed <- sink.stats.freed + n
@@ -113,21 +114,21 @@ let note_reclaim_phase sink ctx ~freed =
   (match sink.reclaim_hist with
   | Some h -> Metrics.observe h freed
   | None -> ());
-  emit sink ctx (Trace.Reclaim_phase { freed })
+  if Trace.enabled sink.trace then emit sink ctx (Trace.Reclaim_phase { freed })
 
 let note_warning sink ctx ~piggybacked =
   let s = sink.stats in
   if piggybacked then s.warnings_piggybacked <- s.warnings_piggybacked + 1
   else s.warnings_fired <- s.warnings_fired + 1;
-  emit sink ctx (Trace.Warning { piggybacked })
+  if Trace.enabled sink.trace then emit sink ctx (Trace.Warning { piggybacked })
 
 let note_restart sink ctx =
   sink.stats.restarts <- sink.stats.restarts + 1;
-  emit sink ctx Trace.Restart
+  if Trace.enabled sink.trace then emit sink ctx Trace.Restart
 
 let note_neutralized sink ctx =
   sink.stats.neutralized <- sink.stats.neutralized + 1;
-  emit sink ctx Trace.Restart
+  if Trace.enabled sink.trace then emit sink ctx Trace.Restart
 
 (* Nodes taken over from a dead thread's limbo bag; they stay [retired]
    until actually freed, but are no longer pinned forever. *)
@@ -137,7 +138,7 @@ let note_seized sink n = sink.stats.seized <- sink.stats.seized + n
    and its operation restarts (IMR's analogue of a fired warning bit). *)
 let note_cond_fail sink ctx =
   sink.stats.cond_fails <- sink.stats.cond_fails + 1;
-  emit sink ctx Trace.Cond_fail
+  if Trace.enabled sink.trace then emit sink ctx Trace.Cond_fail
 
 (* Declarative capabilities: every behavioural property a consumer used to
    infer from the scheme's name, stated once in the scheme's [ops].  The
@@ -173,7 +174,7 @@ type ops = {
   end_op : Engine.ctx -> unit;
   read_check : Engine.ctx -> unit;
   traverse_protect :
-    Engine.ctx -> slot:int -> addr:int -> verify:(unit -> bool) -> unit;
+    Engine.ctx -> slot:int -> addr:int -> link:int -> expect:int -> unit;
   write_protect : Engine.ctx -> slot:int -> int -> unit;
   validate : Engine.ctx -> unit;
   clear : Engine.ctx -> unit;
@@ -247,9 +248,9 @@ let observe o (ops : ops) =
         o.obs_cancel ctx ~addr;
         internal ctx (fun () -> ops.cancel ctx addr));
     traverse_protect =
-      (fun ctx ~slot ~addr ~verify ->
+      (fun ctx ~slot ~addr ~link ~expect ->
         o.obs_hazard ctx ~slot ~addr;
-        ops.traverse_protect ctx ~slot ~addr ~verify);
+        ops.traverse_protect ctx ~slot ~addr ~link ~expect);
     write_protect =
       (fun ctx ~slot addr ->
         o.obs_hazard ctx ~slot ~addr;

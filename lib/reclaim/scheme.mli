@@ -128,9 +128,11 @@ type ops = {
   read_check : Engine.ctx -> unit;
       (** after every optimistic load; may raise {!Restart} *)
   traverse_protect :
-    Engine.ctx -> slot:int -> addr:int -> verify:(unit -> bool) -> unit;
-      (** before dereferencing a traversal pointer (hazard-pointer schemes
-          publish + fence + re-verify; no-op for OA); may raise {!Restart} *)
+    Engine.ctx -> slot:int -> addr:int -> link:int -> expect:int -> unit;
+      (** before dereferencing [addr], read from the word at [link] as
+          [expect] (hazard-pointer schemes publish [addr], fence, re-load
+          [link] and restart unless it still holds [expect]; no-op for OA);
+          may raise {!Restart} *)
   write_protect : Engine.ctx -> slot:int -> int -> unit;
       (** hazard-protect one node a CAS involves *)
   validate : Engine.ctx -> unit;

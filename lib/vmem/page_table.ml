@@ -52,6 +52,20 @@ let get t vpage =
   if not (in_range t vpage) then Unmapped
   else decode (Atomic.get t.entries.(vpage))
 
+(* [get] without the entry box, for the translation paths: the frame a
+   page is backed by (private or shared), [cow] for a copy-on-write page,
+   [unmapped] for an unmapped or out-of-range one. *)
+let cow = -1
+let unmapped = -2
+
+let frame_of t vpage =
+  if not (in_range t vpage) then unmapped
+  else
+    match Atomic.get t.entries.(vpage) with
+    | 0 -> unmapped
+    | 1 -> cow
+    | w -> w lsr 2
+
 let set t vpage e =
   if not (in_range t vpage) then invalid_arg "Page_table.set: out of range";
   t.epoch <- t.epoch + 1;

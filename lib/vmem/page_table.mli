@@ -21,6 +21,14 @@ val in_range : t -> int -> bool
 val get : t -> int -> entry
 (** Out-of-range pages read as [Unmapped]. *)
 
+val cow : int
+val unmapped : int
+
+val frame_of : t -> int -> int
+(** {!get} without allocating: the frame backing [vpage] ([Frame] or
+    [Shared]), or {!cow} for [Cow_zero], or {!unmapped} for [Unmapped]
+    (including out-of-range pages). *)
+
 val set : t -> int -> entry -> unit
 val cas : t -> int -> expect:entry -> desired:entry -> bool
 

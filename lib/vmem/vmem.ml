@@ -297,39 +297,40 @@ let split t addr =
 
 (* Frame to read from; never faults. *)
 let frame_for_read t addr vpage =
-  match Page_table.get t.pt vpage with
-  | Page_table.Unmapped -> raise (Segfault addr)
-  | Page_table.Cow_zero -> Frames.zero_frame
-  | Page_table.Frame f | Page_table.Shared f -> f
+  let f = Page_table.frame_of t.pt vpage in
+  if f >= 0 then f
+  else if f = Page_table.cow then Frames.zero_frame
+  else raise (Segfault addr)
 
 (* Frame to write to, faulting in a private frame on a cow page. *)
 let rec frame_for_write t ctx addr vpage =
-  match Page_table.get t.pt vpage with
-  | Page_table.Unmapped -> raise (Segfault addr)
-  | Page_table.Frame f | Page_table.Shared f -> f
-  | Page_table.Cow_zero ->
-      let f = Frames.alloc t.frames in
-      if
-        Page_table.cas t.pt vpage ~expect:Page_table.Cow_zero
-          ~desired:(Page_table.Frame f)
-      then begin
-        t.minor_faults <- t.minor_faults + 1;
-        let p = Engine.Mem.profile ctx in
-        if Profile.enabled p then begin
-          let tid = (Engine.Mem.tid ctx) in
-          Profile.enter p ~tid ~now:(Engine.Mem.now ctx) Profile.Vmem_fault_in;
-          Engine.Mem.event ctx Engine.Minor_fault;
-          Profile.leave p ~tid ~now:(Engine.Mem.now ctx)
-        end
-        else Engine.Mem.event ctx Engine.Minor_fault;
-        emit t ctx (Trace.Fault_in { vpage });
-        f
+  let f = Page_table.frame_of t.pt vpage in
+  if f >= 0 then f
+  else if f = Page_table.unmapped then raise (Segfault addr)
+  else begin
+    let f = Frames.alloc t.frames in
+    if
+      Page_table.cas t.pt vpage ~expect:Page_table.Cow_zero
+        ~desired:(Page_table.Frame f)
+    then begin
+      t.minor_faults <- t.minor_faults + 1;
+      let p = Engine.Mem.profile ctx in
+      if Profile.enabled p then begin
+        let tid = (Engine.Mem.tid ctx) in
+        Profile.enter p ~tid ~now:(Engine.Mem.now ctx) Profile.Vmem_fault_in;
+        Engine.Mem.event ctx Engine.Minor_fault;
+        Profile.leave p ~tid ~now:(Engine.Mem.now ctx)
       end
-      else begin
-        (* Lost a fault-in race; retry against the new entry. *)
-        Frames.free t.frames f;
-        frame_for_write t ctx addr vpage
-      end
+      else Engine.Mem.event ctx Engine.Minor_fault;
+      if Trace.enabled t.trace then emit t ctx (Trace.Fault_in { vpage });
+      f
+    end
+    else begin
+      (* Lost a fault-in race; retry against the new entry. *)
+      Frames.free t.frames f;
+      frame_for_write t ctx addr vpage
+    end
+  end
 
 (* Resolved read frame for [vpage], consulting the translation cache.  On a
    miss the cache is refilled from the page-table entry; [fw] is the frame
@@ -340,16 +341,19 @@ let[@inline] read_frame t tid addr vpage =
     t.tc_hits <- t.tc_hits + 1;
     f
   end
-  else
+  else begin
     let epoch = Page_table.epoch t.pt in
-    match Page_table.get t.pt vpage with
-    | Page_table.Unmapped -> raise (Segfault addr)
-    | Page_table.Cow_zero ->
-        tc_fill t tid ~epoch ~vpage ~fr:Frames.zero_frame ~fw:(-1);
-        Frames.zero_frame
-    | Page_table.Frame f | Page_table.Shared f ->
-        tc_fill t tid ~epoch ~vpage ~fr:f ~fw:f;
-        f
+    let f = Page_table.frame_of t.pt vpage in
+    if f >= 0 then begin
+      tc_fill t tid ~epoch ~vpage ~fr:f ~fw:f;
+      f
+    end
+    else if f = Page_table.cow then begin
+      tc_fill t tid ~epoch ~vpage ~fr:Frames.zero_frame ~fw:(-1);
+      Frames.zero_frame
+    end
+    else raise (Segfault addr)
+  end
 
 (* Resolved write frame.  A cache hit with [fw >= 0] proves the entry was
    Frame/Shared at the current epoch: no fault-in, no cow-CAS accounting.
@@ -381,9 +385,8 @@ let[@inline] rmw_frame t ctx tid addr vpage =
   end
   else begin
     let epoch = Page_table.epoch t.pt in
-    (match Page_table.get t.pt vpage with
-    | Page_table.Cow_zero -> t.cow_cas_faults <- t.cow_cas_faults + 1
-    | _ -> ());
+    if Page_table.frame_of t.pt vpage = Page_table.cow then
+      t.cow_cas_faults <- t.cow_cas_faults + 1;
     let f = frame_for_write t ctx addr vpage in
     tc_fill t tid ~epoch ~vpage ~fr:f ~fw:f;
     f

@@ -545,6 +545,206 @@ let test_vmem_hit_path_allocates_nothing () =
        !words)
     true (!words = 0.0)
 
+(* Vmem's translation-cache refill resolves the page-table entry without
+   boxing it: alternating between two pages refills on every load. *)
+let test_vmem_fill_path_allocates_nothing () =
+  let vm = Vmem.create ~max_pages:64 Geometry.default in
+  let eng = Engine.create ~nthreads:1 () in
+  let words = ref 0.0 in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      let a = mapped_addr vm ctx and b = mapped_addr vm ctx in
+      Vmem.store vm ctx a 1;
+      Vmem.store vm ctx b 1;
+      let fills = Vmem.tc_fills vm in
+      let before = Gc.minor_words () in
+      for _ = 1 to 5_000 do
+        ignore (Vmem.load vm ctx a);
+        ignore (Vmem.load vm ctx b)
+      done;
+      words := Gc.minor_words () -. before;
+      check_int "every load refilled" (fills + 10_000) (Vmem.tc_fills vm));
+  Engine.run eng;
+  check_bool
+    (Printf.sprintf "vmem refill load path allocates nothing (%.0f words)"
+       !words)
+    true (!words = 0.0)
+
+(* A one-thread system with small superblocks, as the host-cost ledger
+   builds it. *)
+let small_system ?(threshold = 64) scheme =
+  System.create
+    (System.Config.make ~nthreads:1 ~scheme
+       ~alloc_cfg:
+         {
+           Oamem_lrmalloc.Config.default with
+           Oamem_lrmalloc.Config.sb_pages = 8;
+         }
+       ~scheme_cfg:
+         {
+           Scheme.default_config with
+           Scheme.threshold;
+           slots_per_thread = Hm_list.slots_needed;
+           node_words = Node.words;
+         }
+       ())
+
+(* Minor words [measure] allocates on thread 0 of [sys], after [warm] has
+   created whatever is built on first use. *)
+let steady_words sys ~warm measure =
+  let words = ref 0.0 in
+  System.run_on_thread0 sys (fun ctx ->
+      warm ctx;
+      let before = Gc.minor_words () in
+      measure ctx;
+      words := Gc.minor_words () -. before);
+  !words
+
+let check_no_words label words =
+  check_bool (Printf.sprintf "%s allocates nothing (%.0f words)" label words)
+    true (words = 0.0)
+
+let test_lrmalloc_hit_allocates_nothing () =
+  let module L = Oamem_lrmalloc.Lrmalloc in
+  List.iter
+    (fun (label, alloc) ->
+      let sys = small_system "oa-ver" in
+      let al = System.alloc sys in
+      let once ctx = L.free al ctx (alloc al ctx Node.words) in
+      check_no_words label
+        (steady_words sys ~warm:once (fun ctx ->
+             for _ = 1 to 10_000 do
+               once ctx
+             done)))
+    [ ("malloc + free (cache hit)", L.malloc); ("palloc + free (cache hit)", L.palloc) ]
+
+(* Runs of allocations longer than a thread cache, then of frees: the cache
+   refills from partial superblocks and flushes back to them.  A pinned
+   block keeps every superblock from emptying, so the measured round sees
+   only fill and flush. *)
+let test_lrmalloc_fill_flush_allocates_nothing () =
+  let module L = Oamem_lrmalloc.Lrmalloc in
+  List.iter
+    (fun (label, alloc) ->
+      let sys = small_system "oa-ver" in
+      let al = System.alloc sys in
+      let blocks = Array.make 1_500 0 in
+      let round ctx =
+        for i = 0 to Array.length blocks - 1 do
+          blocks.(i) <- alloc al ctx Node.words
+        done;
+        for i = 0 to Array.length blocks - 1 do
+          L.free al ctx blocks.(i)
+        done
+      in
+      let words =
+        steady_words sys
+          ~warm:(fun ctx ->
+            ignore (alloc al ctx Node.words);
+            round ctx)
+          round
+      in
+      check_no_words label words)
+    [ ("malloc/free across fill and flush", L.malloc);
+      ("palloc/free across fill and flush", L.palloc) ]
+
+(* One node lifetime per iteration, fewer retirements than the limbo
+   threshold, so no reclaim phase runs. *)
+let test_oa_retire_allocates_nothing () =
+  List.iter
+    (fun scheme ->
+      let sys = small_system ~threshold:64 scheme in
+      let s = System.scheme sys in
+      let life ctx =
+        s.Scheme.begin_op ctx;
+        s.Scheme.retire ctx (s.Scheme.alloc ctx Node.words);
+        s.Scheme.end_op ctx
+      in
+      let words =
+        steady_words sys
+          ~warm:(fun ctx -> s.Scheme.cancel ctx (s.Scheme.alloc ctx Node.words))
+          (fun ctx ->
+            for _ = 1 to 60 do
+              life ctx
+            done)
+      in
+      check_int (scheme ^ ": no reclaim phase ran") 0
+        s.Scheme.stats.Scheme.reclaim_phases;
+      check_no_words (scheme ^ " alloc + retire") words)
+    [ "oa-ver"; "oa-bit" ]
+
+(* Operations over chains of ~8 nodes: a 16-key hash set over 2 buckets
+   and a 16-key list.  Each kind of operation is measured on its own, with
+   fewer retirements than the limbo threshold; [hp] covers the per-node
+   [traverse_protect] re-verification. *)
+let test_structure_ops_allocate_nothing () =
+  List.iter
+    (fun scheme ->
+      let sys = small_system scheme in
+      let hash = ref None and list = ref None in
+      System.run_on_thread0 sys (fun ctx ->
+          let h = Michael_hash.create ctx ~scheme:(System.scheme sys)
+              ~vmem:(System.vmem sys) ~alloc:(System.alloc sys)
+              ~expected_size:8 ~load_factor:4.0 in
+          let l = System.list_set sys ctx in
+          for k = 0 to 15 do
+            ignore (Michael_hash.insert h ctx (2 * k));
+            ignore (Hm_list.insert l ctx (2 * k))
+          done;
+          hash := Some h;
+          list := Some l);
+      let h = Option.get !hash and l = Option.get !list in
+      check_int "two buckets" 2 (Michael_hash.nbuckets h);
+      let ops =
+        [
+          ("hash contains", fun ctx k -> ignore (Michael_hash.contains h ctx k));
+          ("hash insert", fun ctx k -> ignore (Michael_hash.insert h ctx ((2 * k) + 1)));
+          ("hash delete", fun ctx k -> ignore (Michael_hash.delete h ctx ((2 * k) + 1)));
+          ("list contains", fun ctx k -> ignore (Hm_list.contains l ctx k));
+          ("list insert", fun ctx k -> ignore (Hm_list.insert l ctx ((2 * k) + 1)));
+          ("list delete", fun ctx k -> ignore (Hm_list.delete l ctx ((2 * k) + 1)));
+        ]
+      in
+      List.iter
+        (fun (label, op) ->
+          let words =
+            steady_words sys
+              ~warm:(fun ctx -> op ctx 15)
+              (fun ctx ->
+                for k = 0 to 14 do
+                  op ctx k
+                done)
+          in
+          check_no_words (Printf.sprintf "%s: %s" scheme label) words)
+        ops)
+    [ "oa-ver"; "hp" ]
+
+(* Two threads at equal cost per access trade the lead on every access.
+   With parking off every access is an effect suspension; with it on,
+   thread 0 parks and thread 1 suspends once per round.  Differencing two
+   run lengths cancels the fixed cost of starting the threads: a
+   suspension costs exactly the runtime's 2-word continuation, and a park
+   nothing. *)
+let test_ping_pong_words () =
+  let run ~fused n =
+    let eng = Engine.create ~nthreads:2 () in
+    Engine.set_fused eng fused;
+    for tid = 0 to 1 do
+      Engine.spawn eng ~tid (fun ctx ->
+          for _ = 1 to n do
+            Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * (1 + tid))
+              ~kind:Engine.Load
+          done)
+    done;
+    let before = Gc.minor_words () in
+    Engine.run eng;
+    Gc.minor_words () -. before
+  in
+  let per_round ~fused = (run ~fused 3_000 -. run ~fused 1_000) /. 2_000. in
+  Alcotest.(check (float 0.)) "slow path: 2 suspensions x 2 words per round"
+    4.0 (per_round ~fused:false);
+  Alcotest.(check (float 0.)) "fused: 1 suspension x 2 words + 1 park x 0"
+    2.0 (per_round ~fused:true)
+
 let () =
   Alcotest.run "fused"
     [
@@ -589,5 +789,17 @@ let () =
             test_fused_access_allocates_nothing;
           Alcotest.test_case "vmem hit path allocates nothing" `Quick
             test_vmem_hit_path_allocates_nothing;
+          Alcotest.test_case "vmem refill path allocates nothing" `Quick
+            test_vmem_fill_path_allocates_nothing;
+          Alcotest.test_case "lrmalloc cache hit allocates nothing" `Quick
+            test_lrmalloc_hit_allocates_nothing;
+          Alcotest.test_case "lrmalloc fill/flush allocates nothing" `Quick
+            test_lrmalloc_fill_flush_allocates_nothing;
+          Alcotest.test_case "oa alloc + retire allocates nothing" `Quick
+            test_oa_retire_allocates_nothing;
+          Alcotest.test_case "hash/list ops allocate nothing" `Quick
+            test_structure_ops_allocate_nothing;
+          Alcotest.test_case "ping-pong: 2 words/suspension, 0/park" `Quick
+            test_ping_pong_words;
         ] );
     ]

@@ -23,11 +23,11 @@ let mk ?(remap = Config.Madvise) ?(sb_pages = 4) ?(nthreads = 4)
 
 let test_size_class_lookup () =
   let c = Size_class.default in
-  check_bool "size 1 -> class of 2" true (Size_class.of_size c 1 = Some 0);
-  check_bool "size 2 -> class of 2" true (Size_class.of_size c 2 = Some 0);
-  check_bool "size 3 -> class of 4" true (Size_class.of_size c 3 = Some 1);
-  check_bool "max size fits" true (Size_class.of_size c 2048 <> None);
-  check_bool "above max is large" true (Size_class.of_size c 2049 = None)
+  check_bool "size 1 -> class of 2" true (Size_class.of_size c 1 = 0);
+  check_bool "size 2 -> class of 2" true (Size_class.of_size c 2 = 0);
+  check_bool "size 3 -> class of 4" true (Size_class.of_size c 3 = 1);
+  check_bool "max size fits" true (Size_class.of_size c 2048 >= 0);
+  check_bool "above max is large" true (Size_class.of_size c 2049 = -1)
 
 let test_size_class_validation () =
   Alcotest.check_raises "odd rejected"
@@ -40,8 +40,8 @@ let size_class_sound_prop =
     (fun size ->
       let c = Size_class.default in
       match Size_class.of_size c size with
-      | None -> false
-      | Some cls ->
+      | -1 -> false
+      | cls ->
           let bw = Size_class.block_words c cls in
           bw >= size && (cls = 0 || Size_class.block_words c (cls - 1) < size))
 
@@ -85,21 +85,17 @@ let test_desc_list_lifo () =
   let meta = Cell.heap g in
   let descs = Array.init 4 (fun id -> Descriptor.make meta ~id) in
   let l = Desc_list.create meta ~get:(fun id -> descs.(id)) in
-  check_bool "empty" true (Desc_list.pop l ctx = None);
+  check_bool "empty" true (Desc_list.pop l ctx = -1);
   Desc_list.push l ctx descs.(0);
   Desc_list.push l ctx descs.(1);
   Desc_list.push l ctx descs.(2);
   check_bool "ids" true (Desc_list.peek_ids l = [ 2; 1; 0 ]);
-  check_bool "pop 2" true
-    (match Desc_list.pop l ctx with Some d -> d.Descriptor.id = 2 | None -> false);
-  check_bool "pop 1" true
-    (match Desc_list.pop l ctx with Some d -> d.Descriptor.id = 1 | None -> false);
+  check_bool "pop 2" true (Desc_list.pop l ctx = 2);
+  check_bool "pop 1" true (Desc_list.pop l ctx = 1);
   Desc_list.push l ctx descs.(3);
-  check_bool "pop 3" true
-    (match Desc_list.pop l ctx with Some d -> d.Descriptor.id = 3 | None -> false);
-  check_bool "pop 0" true
-    (match Desc_list.pop l ctx with Some d -> d.Descriptor.id = 0 | None -> false);
-  check_bool "empty again" true (Desc_list.pop l ctx = None)
+  check_bool "pop 3" true (Desc_list.pop l ctx = 3);
+  check_bool "pop 0" true (Desc_list.pop l ctx = 0);
+  check_bool "empty again" true (Desc_list.pop l ctx = -1)
 
 (* --- malloc/free basics ---------------------------------------------------- *)
 
@@ -125,8 +121,8 @@ let test_malloc_size_class_isolation () =
   let a = mk () in
   let small = Lrmalloc.malloc a ctx 2 in
   let big = Lrmalloc.malloc a ctx 100 in
-  let d1 = Heap.lookup_desc (Lrmalloc.heap a) ctx small |> Option.get in
-  let d2 = Heap.lookup_desc (Lrmalloc.heap a) ctx big |> Option.get in
+  let d1 = Heap.lookup_desc (Lrmalloc.heap a) ctx small in
+  let d2 = Heap.lookup_desc (Lrmalloc.heap a) ctx big in
   check_bool "different superblocks" true (d1.Descriptor.id <> d2.Descriptor.id);
   check_bool "classes differ" true
     (d1.Descriptor.size_class <> d2.Descriptor.size_class)
@@ -141,8 +137,8 @@ let test_palloc_and_malloc_never_share_superblocks () =
   let a = mk () in
   let m = Lrmalloc.malloc a ctx 8 in
   let p = Lrmalloc.palloc a ctx 8 in
-  let dm = Heap.lookup_desc (Lrmalloc.heap a) ctx m |> Option.get in
-  let dp = Heap.lookup_desc (Lrmalloc.heap a) ctx p |> Option.get in
+  let dm = Heap.lookup_desc (Lrmalloc.heap a) ctx m in
+  let dp = Heap.lookup_desc (Lrmalloc.heap a) ctx p in
   check_bool "separate descs" true (dm.Descriptor.id <> dp.Descriptor.id);
   check_bool "persistent marked" true dp.Descriptor.persistent;
   check_bool "regular unmarked" false dm.Descriptor.persistent
@@ -160,7 +156,7 @@ let test_palloc_large_rejected () =
 let grab_superblock a cls_size =
   let heap = Lrmalloc.heap a in
   let first = Lrmalloc.malloc a ctx cls_size in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let rest =
     List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.malloc a ctx cls_size)
   in
@@ -204,7 +200,7 @@ let test_persistent_madvise_releases_but_stays_readable () =
   let vm = Lrmalloc.vmem a in
   let heap = Lrmalloc.heap a in
   let first = Lrmalloc.palloc a ctx 512 in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let blocks =
     first :: List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.palloc a ctx 512)
   in
@@ -225,7 +221,7 @@ let test_persistent_keep_resident_never_releases () =
   let vm = Lrmalloc.vmem a in
   let heap = Lrmalloc.heap a in
   let first = Lrmalloc.palloc a ctx 512 in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let blocks =
     first :: List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.palloc a ctx 512)
   in
@@ -240,7 +236,7 @@ let test_persistent_keep_resident_never_releases () =
   List.iter (fun b -> ignore (Vmem.load vm ctx b)) blocks;
   (* and the blocks are still allocatable: superblock stayed partial *)
   let again = Lrmalloc.palloc a ctx 512 in
-  let d' = Heap.lookup_desc heap ctx again |> Option.get in
+  let d' = Heap.lookup_desc heap ctx again in
   check_int "same superblock reused" d.Descriptor.id d'.Descriptor.id
 
 let test_persistent_shared_map_aliases_and_inflates_rss () =
@@ -248,7 +244,7 @@ let test_persistent_shared_map_aliases_and_inflates_rss () =
   let vm = Lrmalloc.vmem a in
   let heap = Lrmalloc.heap a in
   let first = Lrmalloc.palloc a ctx 512 in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let blocks =
     first :: List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.palloc a ctx 512)
   in
@@ -268,7 +264,7 @@ let test_persistent_range_recycled_by_priority () =
   let a = mk ~remap:Config.Madvise () in
   let heap = Lrmalloc.heap a in
   let first = Lrmalloc.palloc a ctx 512 in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let range = d.Descriptor.sb_start in
   let blocks =
     first :: List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.palloc a ctx 512)
@@ -280,7 +276,7 @@ let test_persistent_range_recycled_by_priority () =
   (* the next superblock — even of a different class, even non-persistent —
      must reuse the recycled virtual range first (§4 priority) *)
   let b = Lrmalloc.malloc a ctx 96 in
-  let d' = Heap.lookup_desc heap ctx b |> Option.get in
+  let d' = Heap.lookup_desc heap ctx b in
   check_int "range reused" range d'.Descriptor.sb_start;
   check_bool "stat counted" true ((Lrmalloc.stats a).Heap.sb_range_reused >= 1)
 
@@ -395,8 +391,8 @@ let no_overlap_prop =
           if is_alloc || Hashtbl.length live = 0 then begin
             let cls_size =
               match Size_class.of_size Size_class.default size with
-              | Some c -> Size_class.block_words Size_class.default c
-              | None -> size
+              | -1 -> size
+              | c -> Size_class.block_words Size_class.default c
             in
             let b = Lrmalloc.malloc a ctx size in
             let ok = not (overlaps b cls_size) in

@@ -220,13 +220,12 @@ let test_hp_traverse_protect_verifies () =
   let node = sch.Scheme.alloc ctx 2 in
   Vmem.store vm ctx loc node;
   (* verification passes while the link is stable *)
-  sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node ~verify:(fun () ->
-      Vmem.load vm ctx loc = node);
+  sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node ~link:loc ~expect:node;
   (* after the link changes, protection must fail with Restart *)
   Vmem.store vm ctx loc 0;
   Alcotest.check_raises "stale link" Scheme.Restart (fun () ->
-      sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node ~verify:(fun () ->
-          Vmem.load vm ctx loc = node))
+      sch.Scheme.traverse_protect ctx ~slot:0 ~addr:node ~link:loc
+        ~expect:node)
 
 let test_ebr_grace_period () =
   let sch, _alloc, vm = mk_scheme "ebr" ~threshold:1 in
@@ -326,7 +325,7 @@ let released_persistent_range remap =
   let alloc, vm, _meta = mk_alloc ~remap () in
   let first = Lrmalloc.palloc alloc ctx 512 in
   let heap = Lrmalloc.heap alloc in
-  let d = Heap.lookup_desc heap ctx first |> Option.get in
+  let d = Heap.lookup_desc heap ctx first in
   let blocks =
     first
     :: List.init (d.Descriptor.max_count - 1) (fun _ -> Lrmalloc.palloc alloc ctx 512)
