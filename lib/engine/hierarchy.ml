@@ -175,41 +175,54 @@ let invalidate_others t ~tid others block =
 (* Charge one access and update cache state; returns the cycle cost. *)
 let access t ~tid ~kind block =
   let c = t.cost in
+  let l1_hit = Cache.access t.l1.(tid) block in
   let hit_cost =
-    if Cache.access t.l1.(tid) block then c.l1_hit
+    if l1_hit then c.l1_hit
     else if Cache.access t.l2.(l2_bank t tid) block then c.l2_hit
     else if Cache.access t.l3 block then c.l3_hit
     else c.dram
   in
   let coherence_cost =
-    (* one directory probe serves both the sharer read and the mask update
-       ([invalidate_others] only touches the caches, so slot [i] stays
-       valid across it) *)
-    let bit = 1 lsl tid in
-    let dir = t.dir in
-    let i = dir_slot dir block in
-    let mask =
-      if Array.unsafe_get dir (2 * i) = block then
-        Array.unsafe_get dir ((2 * i) + 1)
-      else 0
-    in
     match kind with
-    | Load ->
-        if mask land bit = 0 then dir_put t i block (mask lor bit);
+    | Load when l1_hit ->
+        (* Invariant: a block resident in thread [tid]'s L1 carries [tid]'s
+           bit in its directory mask.  Every access sets the accessor's bit;
+           the only path that clears bits is a remote Store/Rmw, which
+           invalidates those threads' L1 copies in the same call; [clear]
+           empties both.  So the probe's outcome is known: no mask change
+           and no coherence cycles. *)
         0
-    | Store | Rmw ->
-        if mask land lnot bit = 0 then begin
-          if mask <> bit then dir_put t i block bit;
-          0
-        end
-        else begin
-          invalidate_others t ~tid (mask land lnot bit) block;
-          dir_put t i block bit;
-          c.invalidation
-        end
+    | Load | Store | Rmw -> (
+        (* one directory probe serves both the sharer read and the mask
+           update ([invalidate_others] only touches the caches, so slot [i]
+           stays valid across it) *)
+        let bit = 1 lsl tid in
+        let dir = t.dir in
+        let i = dir_slot dir block in
+        let mask =
+          if Array.unsafe_get dir (2 * i) = block then
+            Array.unsafe_get dir ((2 * i) + 1)
+          else 0
+        in
+        match kind with
+        | Load ->
+            if mask land bit = 0 then dir_put t i block (mask lor bit);
+            0
+        | Store | Rmw ->
+            if mask land lnot bit = 0 then begin
+              if mask <> bit then dir_put t i block bit;
+              0
+            end
+            else begin
+              invalidate_others t ~tid (mask land lnot bit) block;
+              dir_put t i block bit;
+              c.invalidation
+            end)
   in
   let rmw_cost = match kind with Rmw -> c.rmw_extra | Load | Store -> 0 in
   hit_cost + coherence_cost + rmw_cost
+
+let l1_present t ~tid block = Cache.present t.l1.(tid) block
 
 (* Cheap accessor for hot-path delta checks (profiler attribution); [stats]
    allocates a full record per call. *)

@@ -33,6 +33,9 @@ val access : t -> tid:int -> kind:kind -> int -> int
 val sharers : t -> int -> int
 (** Directory sharer bitmask of a block (test hook). *)
 
+val l1_present : t -> tid:int -> int -> bool
+(** Whether a block is resident in thread [tid]'s L1 (test hook). *)
+
 val remote_invalidations : t -> int
 (** Running invalidation-broadcast count, without allocating a {!stats}
     record — cheap enough for per-access delta checks. *)

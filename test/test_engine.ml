@@ -434,6 +434,40 @@ let hierarchy_writer_owns_prop =
       ignore (Hierarchy.access h ~tid:writer ~kind:Hierarchy.Store block);
       Hierarchy.sharers h block = 1 lsl writer)
 
+(* The invariant [Hierarchy.access] relies on to skip the directory probe
+   on an L1 load hit: every block resident in a thread's L1 carries that
+   thread's bit in its sharer mask.  Random multi-thread streams on the
+   tiny hierarchy (so L1 evictions and remote invalidations are frequent),
+   checked after every access over the whole block universe. *)
+let hierarchy_l1_resident_has_bit_prop =
+  let nthreads = 4 and nblocks = 16 in
+  QCheck.Test.make ~name:"L1-resident block carries its owner's sharer bit"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 300)
+              (triple (int_bound (nthreads - 1)) (int_bound 2)
+                 (int_bound (nblocks - 1))))
+    (fun stream ->
+      let h =
+        Hierarchy.create ~cfg:Hierarchy.tiny_config ~cost ~nthreads ()
+      in
+      let kind_of = function
+        | 0 -> Hierarchy.Load
+        | 1 -> Hierarchy.Store
+        | _ -> Hierarchy.Rmw
+      in
+      List.for_all
+        (fun (tid, k, block) ->
+          ignore (Hierarchy.access h ~tid ~kind:(kind_of k) block);
+          List.for_all
+            (fun t ->
+              List.for_all
+                (fun b ->
+                  (not (Hierarchy.l1_present h ~tid:t b))
+                  || Hierarchy.sharers h b land (1 lsl t) <> 0)
+                (List.init nblocks Fun.id))
+            (List.init nthreads Fun.id))
+        stream)
+
 let suite =
   [
     ("geometry", `Quick, test_geometry);
@@ -478,6 +512,7 @@ let suite =
         cache_lru_model_prop;
         engine_progress_prop;
         hierarchy_writer_owns_prop;
+        hierarchy_l1_resident_has_bit_prop;
       ]
 
 let () = Alcotest.run "engine" [ ("engine", suite) ]
