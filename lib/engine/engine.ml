@@ -426,10 +426,11 @@ let[@inline] charge_access t ~tid ~vpage ~paddr ~kind =
    like any other shared-line traffic: a revocation's store invalidates the
    victim's cached copy, and the victim's next flag check pays the remote
    miss — with the invalidation attributed by the profiler exactly as for a
-   data line.  The base sits far above the [Cell] metadata heap (1 lsl 50,
-   growing upward) and the data address space, so flag lines never collide
-   with simulated data. *)
-let flag_base = 1 lsl 52
+   data line.  The base sits above the allocator's pagemap table (1 lsl 52,
+   one word per virtual page), the [Cell] metadata heap (1 lsl 50, growing
+   upward) and the data address space, so flag lines share no cache line
+   with any of them. *)
+let flag_base = 1 lsl 53
 
 let[@inline] flag_addr t tid = flag_base + (tid * Geometry.line_words t.geom)
 

@@ -12,7 +12,8 @@
 
 open Oamem_engine
 
-(* Above the cell heap's default base, far from any frame address. *)
+(* Above the cell heap's default base, far from any frame address, and
+   below the engine's accessible-flag lines (1 lsl 53). *)
 let table_base = 1 lsl 52
 
 type t = {

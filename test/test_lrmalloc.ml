@@ -447,12 +447,51 @@ let palloc_always_readable_prop =
           readable ())
         ops)
 
+(* The pagemap table and the engine's per-thread accessible-flag lines are
+   both simulated metadata regions; they must not share cache lines.  Four
+   threads warm their flag lines, a fifth stores a pagemap entry for every
+   page the flag region could overlap, and each flag check afterwards must
+   still cost what a warm one did — a shared line would have been
+   invalidated by the remote stores. *)
+let test_pagemap_disjoint_from_flag_lines () =
+  let checkers = 4 in
+  let writer = checkers in
+  let eng = Engine.create ~nthreads:(checkers + 1) () in
+  let npages = (checkers + 1) * Geometry.line_words g in
+  let pm = Pagemap.create ~geom:g ~max_pages:npages in
+  let flag_check_cost ctx =
+    let t0 = Engine.Mem.now ctx in
+    ignore (Engine.Mem.cond_access ctx);
+    Engine.Mem.now ctx - t0
+  in
+  let checks f =
+    for tid = 0 to checkers - 1 do
+      Engine.spawn eng ~tid f
+    done;
+    Engine.run eng
+  in
+  let warm = Array.make checkers 0 and after = Array.make checkers 0 in
+  checks (fun ctx ->
+      ignore (flag_check_cost ctx);
+      warm.(Engine.Mem.tid ctx) <- flag_check_cost ctx);
+  Engine.spawn eng ~tid:writer (fun ctx ->
+      Pagemap.set_range pm ctx ~vpage:0 ~npages ~desc_id:0);
+  Engine.run eng;
+  checks (fun ctx -> after.(Engine.Mem.tid ctx) <- flag_check_cost ctx);
+  for tid = 0 to checkers - 1 do
+    check_int
+      (Printf.sprintf "thread %d flag line untouched by pagemap stores" tid)
+      warm.(tid) after.(tid)
+  done
+
 let suite =
   [
     ("size class lookup", `Quick, test_size_class_lookup);
     ("size class validation", `Quick, test_size_class_validation);
     ("descriptor block addr", `Quick, test_descriptor_block_addr);
     ("desc list lifo", `Quick, test_desc_list_lifo);
+    ("pagemap disjoint from flag lines", `Quick,
+     test_pagemap_disjoint_from_flag_lines);
     ("malloc distinct/writable", `Quick, test_malloc_distinct_and_writable);
     ("malloc reuses freed", `Quick, test_malloc_reuses_freed);
     ("size class isolation", `Quick, test_malloc_size_class_isolation);
