@@ -10,19 +10,20 @@ module Profile = Oamem_obs.Profile
 
 type t = {
   geom : Geometry.t;
-  mutable arr : int array;
+  meta : Cell.heap;
+  mutable arr : int array;  (* entry [i] lives at [base_addr + i] *)
   mutable len : int;
-  base_addr : int;
-  capacity_hint : int;
+  mutable base_addr : int;  (* simulated range of [Array.length arr] words *)
 }
 
 let create meta ~geom ~capacity_hint =
+  let words = max 8 (2 * capacity_hint) in
   {
     geom;
-    arr = Array.make (max 8 capacity_hint) 0;
+    meta;
+    arr = Array.make words 0;
     len = 0;
-    base_addr = Cell.alloc_words meta ~pad:true (max 8 (2 * capacity_hint));
-    capacity_hint;
+    base_addr = Cell.alloc_words meta ~pad:true words;
   }
 
 let account t ctx i kind =
@@ -31,11 +32,16 @@ let account t ctx i kind =
 
 let size t = t.len
 
+(* A full bag moves to a fresh simulated range twice the size, as a
+   realloc would, so no entry is ever charged past the range it reserved;
+   the copy itself is not charged. *)
 let add t ctx addr =
   if t.len >= Array.length t.arr then begin
-    let bigger = Array.make (2 * Array.length t.arr) 0 in
+    let words = 2 * Array.length t.arr in
+    let bigger = Array.make words 0 in
     Array.blit t.arr 0 bigger 0 t.len;
-    t.arr <- bigger
+    t.arr <- bigger;
+    t.base_addr <- Cell.alloc_words t.meta ~pad:true words
   end;
   account t ctx t.len Engine.Store;
   t.arr.(t.len) <- addr;

@@ -48,6 +48,38 @@ let test_limbo_sweep () =
   check_bool "kept the protected" true (Limbo.to_list l = [ 20; 40 ]);
   check_bool "freed the rest" true (List.sort compare !freed = [ 10; 30; 50 ])
 
+
+(* A bag that outgrows its reserved simulated range must move to a fresh
+   one, not spill into whatever metadata follows it.  The next allocation
+   after a 4-entry bag (8 reserved words, one line) is a cell another
+   thread keeps warm in its L1; driving the bag to 5x that and sweeping it
+   must leave the cell's line untouched. *)
+let test_limbo_growth_stays_in_reserved_range () =
+  let meta = Cell.heap g in
+  let l = Limbo.create meta ~geom:g ~capacity_hint:4 in
+  let neighbor = Cell.make ~pad:true meta 0 in
+  let eng = Engine.create ~nthreads:2 () in
+  let on tid f =
+    Engine.spawn eng ~tid f;
+    Engine.run eng
+  in
+  let load_cost ctx =
+    let t0 = Engine.Mem.now ctx in
+    ignore (Cell.get ctx neighbor);
+    Engine.Mem.now ctx - t0
+  in
+  let warm = ref 0 and after = ref 0 in
+  on 0 (fun ctx ->
+      ignore (load_cost ctx);
+      warm := load_cost ctx);
+  on 1 (fun ctx ->
+      for n = 1 to 40 do
+        Limbo.add l ctx n
+      done;
+      ignore (Limbo.sweep l ctx ~protected:(fun n -> n mod 2 = 0) ~free:ignore));
+  on 0 (fun ctx -> after := load_cost ctx);
+  check_int "neighbor line untouched" !warm !after;
+  check_bool "kept entries" true (Limbo.to_list l = List.init 20 (fun i -> 2 * (i + 1)))
 let test_hazard_slots () =
   let meta = Cell.heap g in
   let h = Hazard_slots.create meta ~nthreads:3 ~k:2 in
@@ -383,6 +415,8 @@ let frames_return name remap () =
 let suite =
   [
     ("limbo sweep", `Quick, test_limbo_sweep);
+    ("limbo growth stays in range", `Quick,
+     test_limbo_growth_stays_in_reserved_range);
     ("hazard slots", `Quick, test_hazard_slots);
     ("addr stack", `Quick, test_addr_stack);
     ("oa-bit alloc/retire", `Quick, alloc_retire_cycle "oa-bit");
