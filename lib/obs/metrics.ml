@@ -56,10 +56,10 @@ let value c = c.n
    b holds values in (2^(b-1) - 1, 2^b - 1]; bucket 0 holds exactly 0. *)
 let nbuckets = 63
 
-let bucket_of v =
-  let v = max 0 v in
-  let rec go b bound = if v <= bound - 1 then b else go (b + 1) (bound * 2) in
-  go 0 1
+let rec bucket_from v b bound =
+  if v <= bound - 1 then b else bucket_from v (b + 1) (bound * 2)
+
+let bucket_of v = bucket_from (max 0 v) 0 1
 
 let histogram t name =
   if mem_name t name then

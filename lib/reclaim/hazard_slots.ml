@@ -28,18 +28,18 @@ let clear ctx t =
   done
 
 (* Read every thread's slots (charged) into a membership test.  The
-   snapshot is small (nthreads * k), so a sorted list is fine. *)
+   snapshot is small (nthreads * k), so a plain list is fine; it is left
+   unsorted because sorting would allocate on every reclaim phase. *)
 let snapshot ctx t =
   let acc = ref [] in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun c ->
-          let v = Cell.get ctx c in
-          if v <> 0 then acc := v :: !acc)
-        row)
-    t.slots;
-  List.sort_uniq compare !acc
+  for tid = 0 to Array.length t.slots - 1 do
+    let row = t.slots.(tid) in
+    for i = 0 to Array.length row - 1 do
+      let v = Cell.get ctx row.(i) in
+      if v <> 0 then acc := v :: !acc
+    done
+  done;
+  !acc
 
 let protects snapshot addr = List.mem addr snapshot
 
