@@ -28,9 +28,9 @@ module Profile = Oamem_obs.Profile
 let slots_needed = 5
 
 (* One thread's in-flight operation on a list: its arguments, [find]'s
-   result and [delete]'s short-circuit flag.  Kept in a reusable per-thread
-   record rather than in refs, closures and a result record built per
-   operation, so an operation allocates nothing on the host. *)
+   result and [delete]'s short-circuit flag, in a record reused by every
+   operation of that thread, so an operation allocates nothing on the
+   host. *)
 type cursor = {
   mutable head : int;  (* address of the word holding the first-node pointer *)
   mutable key : int;

@@ -56,9 +56,8 @@ let vmem t = Heap.vmem t.heap
 let config t = Heap.config t.heap
 let set_lifecycle t h = t.lifecycle <- h
 
-(* The entry points below take their work as a closed top-level function
-   [f] applied to [t ctx a b], so that wrapping it allocates nothing: no
-   closure is built per call. *)
+(* The two wrappers below take their work as a closed top-level function
+   [f] applied to [t ctx a b], so wrapping it builds no closure per call. *)
 
 (* Run [f t ctx a b] under a profiler span.  The enabled check comes first
    so the disabled path costs one load and a branch. *)
@@ -77,16 +76,16 @@ let spanned frame f t ctx a b =
         raise e
   end
 
+let leave_internal t ctx =
+  (match t.lifecycle with None -> () | Some h -> h.leave ctx);
+  Engine.Mem.leave_unconditional ctx
+
 (* Run [f t ctx a b] as an allocator-internal section: exempt from
    conditional-access squashing (the allocator is trusted runtime code,
    not part of any scheme's optimistic protocol — a revoked thread must
    still be able to flush its cache or walk superblock anchors without its
    CASes failing forever), and flagged for the lifecycle observer when one
    is attached. *)
-let leave_internal t ctx =
-  (match t.lifecycle with None -> () | Some h -> h.leave ctx);
-  Engine.Mem.leave_unconditional ctx
-
 let internal f t ctx a b =
   Engine.Mem.enter_unconditional ctx;
   (match t.lifecycle with None -> () | Some h -> h.enter ctx);
@@ -114,19 +113,22 @@ let fill_cache t ctx ~cls ~persistent st =
     Thread_cache.push t.caches ctx st out.(i)
   done
 
-let alloc_class_raw t ctx ~cls ~persistent =
+let alloc_class_raw t ctx cls persistent =
   let st = Thread_cache.get t.caches ~tid:(Engine.Mem.tid ctx) ~cls ~persistent in
   if Thread_cache.is_empty st then fill_cache t ctx ~cls ~persistent st;
   Thread_cache.pop t.caches ctx st
 
-let flush_stack t ctx st =
+let alloc_large_raw t ctx size () = Heap.alloc_large t.heap ctx size
+
+let flush_stack t ctx st () =
   while not (Thread_cache.is_empty st) do
     let addr = Thread_cache.pop t.caches ctx st in
     Heap.free_block t.heap ctx (Heap.lookup_desc t.heap ctx addr) addr
   done
 
 let flush_stacks t ctx () () =
-  List.iter (flush_stack t ctx)
+  List.iter
+    (fun st -> flush_stack t ctx st ())
     (Thread_cache.stacks_of_thread t.caches ~tid:(Engine.Mem.tid ctx))
 
 let flush_spanned t ctx () () = internal flush_stacks t ctx () ()
@@ -181,39 +183,17 @@ let relieve_pressure t ctx ~attempt =
       done
   | exception Frames.Out_of_frames -> fail ()
 
+(* Run [f t ctx a b] (closed, like the wrappers above) under the recovery
+   net: on [Frames.Out_of_frames], relieve the pressure and rerun it. *)
+let rec recovering f t ctx a b ~attempt =
+  match f t ctx a b with
+  | r -> r
+  | exception Frames.Out_of_frames ->
+      relieve_pressure t ctx ~attempt;
+      recovering f t ctx a b ~attempt:(attempt + 1)
+
 let with_pressure_recovery t ctx f =
-  let rec go attempt =
-    match f () with
-    | r -> r
-    | exception Frames.Out_of_frames ->
-        relieve_pressure t ctx ~attempt;
-        go (attempt + 1)
-  in
-  go 0
-
-(* The allocator's own retry loops under the same net, without a closure
-   per call. *)
-let rec alloc_class t ctx ~cls ~persistent ~attempt =
-  match alloc_class_raw t ctx ~cls ~persistent with
-  | addr -> addr
-  | exception Frames.Out_of_frames ->
-      relieve_pressure t ctx ~attempt;
-      alloc_class t ctx ~cls ~persistent ~attempt:(attempt + 1)
-
-let rec alloc_large t ctx size ~attempt =
-  match Heap.alloc_large t.heap ctx size with
-  | addr -> addr
-  | exception Frames.Out_of_frames ->
-      relieve_pressure t ctx ~attempt;
-      alloc_large t ctx size ~attempt:(attempt + 1)
-
-(* A full-cache flush writes free-list links, which can fault frames in. *)
-let rec flush_full t ctx st ~attempt =
-  match flush_stack t ctx st with
-  | () -> ()
-  | exception Frames.Out_of_frames ->
-      relieve_pressure t ctx ~attempt;
-      flush_full t ctx st ~attempt:(attempt + 1)
+  recovering (fun _ _ f () -> f ()) t ctx f () ~attempt:0
 
 (* The observer is told the block's *real* extent (the size-class block
    size, not the requested size) so its shadow state covers every word the
@@ -229,8 +209,8 @@ let notify_alloc t ctx ~addr ~size ~persistent =
 (* [palloc] rejects large sizes before getting here. *)
 let alloc_internal t ctx size persistent =
   let cls = Size_class.of_size t.classes size in
-  if cls >= 0 then alloc_class t ctx ~cls ~persistent ~attempt:0
-  else alloc_large t ctx size ~attempt:0
+  if cls >= 0 then recovering alloc_class_raw t ctx cls persistent ~attempt:0
+  else recovering alloc_large_raw t ctx size () ~attempt:0
 
 let alloc_spanned t ctx size persistent =
   let addr = internal alloc_internal t ctx size persistent in
@@ -258,7 +238,9 @@ let free_internal t ctx (d : Descriptor.t) addr =
       Thread_cache.get t.caches ~tid:(Engine.Mem.tid ctx)
         ~cls:d.Descriptor.size_class ~persistent:d.Descriptor.persistent
     in
-    if Thread_cache.is_full st then flush_full t ctx st ~attempt:0;
+    (* a full-cache flush writes free-list links, which can fault frames
+       in: it runs under the recovery net too *)
+    if Thread_cache.is_full st then recovering flush_stack t ctx st () ~attempt:0;
     Thread_cache.push t.caches ctx st addr
   end
 
