@@ -24,7 +24,7 @@ let int t bound =
 
 let bool t = next t land 1 = 1
 
-let float t =
+let[@inline] float t =
   (* 53 random bits scaled into [0, 1). *)
   float_of_int (next t land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
 

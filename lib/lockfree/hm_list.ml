@@ -378,4 +378,14 @@ let to_list t =
   in
   go [] (Vmem.peek t.vmem t.head)
 
-let length t = List.length (to_list t)
+(* Uncosted count of the unmarked nodes of the list at [head] (quiescent
+   state), walked without building a list. *)
+let rec count vm acc cur =
+  let c = Node.unmark cur in
+  if c = Node.null then acc
+  else
+    let next = Vmem.peek vm (Node.next_of c) in
+    count vm (if Node.is_marked next then acc else acc + 1) next
+
+let length_at t ~head = count t.vmem 0 (Vmem.peek t.vmem head)
+let length t = length_at t ~head:t.head

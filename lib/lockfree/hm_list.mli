@@ -59,6 +59,9 @@ val insert_kv_at : t -> Engine.ctx -> head:int -> int -> int -> bool
 val lookup_at : t -> Engine.ctx -> head:int -> int -> int option
 val replace_at : t -> Engine.ctx -> head:int -> int -> int -> int option
 
+val length_at : t -> head:int -> int
+(** Uncosted: {!length} of the sibling list at [head]. *)
+
 val build_sorted : t -> Engine.ctx -> int list -> unit
 (** Sequential bulk construction for setup/prefill (empty list, one caller). *)
 

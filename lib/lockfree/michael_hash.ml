@@ -95,7 +95,13 @@ let to_list t =
            (Hm_list.at_head ~node_words:t.node_words ~scheme:t.scheme
               ~vmem:t.vmem (t.buckets + b))))
 
-let length t = List.length (to_list t)
+(* Uncosted and allocation-free: benchmarks check it between phases. *)
+let length t =
+  let n = ref 0 in
+  for b = 0 to t.nbuckets - 1 do
+    n := !n + Hm_list.length_at t.chains ~head:(t.buckets + b)
+  done;
+  !n
 
 (* Longest chain (diagnostics for the load-factor claim). *)
 let max_chain t =

@@ -472,9 +472,10 @@ let dwcas t ctx addr ~expect0 ~expect1 ~desired0 ~desired1 =
 (* --- uncosted accessors (test setup and oracles) ------------------------- *)
 
 let peek t addr =
-  let vpage, off = split t addr in
+  let vpage = Geometry.page_of_addr t.geom addr in
   let f = frame_for_read t addr vpage in
-  Atomic.get (Frames.word t.frames ~frame:f ~off)
+  Atomic.get
+    (Frames.word t.frames ~frame:f ~off:(Geometry.offset_in_page t.geom addr))
 
 let poke t addr v =
   let vpage, off = split t addr in
