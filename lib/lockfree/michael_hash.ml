@@ -105,8 +105,8 @@ let length t =
 
 (* Longest chain (diagnostics for the load-factor claim). *)
 let max_chain t =
-  List.fold_left max 0
-    (List.init t.nbuckets (fun b ->
-         Hm_list.length
-           (Hm_list.at_head ~node_words:t.node_words ~scheme:t.scheme
-              ~vmem:t.vmem (t.buckets + b))))
+  let m = ref 0 in
+  for b = 0 to t.nbuckets - 1 do
+    m := max !m (Hm_list.length_at t.chains ~head:(t.buckets + b))
+  done;
+  !m
