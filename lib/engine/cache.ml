@@ -126,8 +126,8 @@ let access t block =
 let present t block =
   find_way t.lines (2 * set_of_block t block * t.ways) t.ways block 0 >= 0
 
-(* Runs once per remote copy on every invalidating store, so it reuses the
-   top-level [find_way] rather than a local closure. *)
+(* Runs once per remote copy on every invalidating store, so it must not
+   build a closure per call: the way search is the top-level [find_way]. *)
 let invalidate t block =
   let base = 2 * set_of_block t block * t.ways in
   let i = find_way t.lines base t.ways block 0 in
