@@ -248,11 +248,18 @@ let contended_for t addr =
       Hashtbl.add t.addrs addr c;
       c
 
+(* [owner_of] builds a fresh [Some] per call, so owners are compared by the
+   node they carry, never by the option itself. *)
+let same_owner a b =
+  match (a, b) with
+  | Some x, Some y -> x == y
+  | None, None -> true
+  | _ -> false
+
 let charge_owner c owner =
   let rec bump = function
     | [] -> [ (owner, 1) ]
-    | (o, n) :: rest when o == owner || (o = None && owner = None) ->
-        (o, n + 1) :: rest
+    | (o, n) :: rest when same_owner o owner -> (o, n + 1) :: rest
     | entry :: rest -> entry :: bump rest
   in
   c.owners <- bump c.owners

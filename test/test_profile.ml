@@ -251,6 +251,31 @@ let test_collapsed_stacks_parse_back () =
     (fun (_, c) -> check_bool "cycles positive" true (c > 0))
     parsed
 
+(* --- contention attribution ------------------------------------------------- *)
+
+(* An address's owner is the span that charged it most, not the first one
+   to charge it: one invalidation under [op.insert], then two under
+   [op.delete], must report [op.delete]. *)
+let test_hot_addr_owner_is_most_charged () =
+  let p = Profile.create ~nthreads:1 () in
+  Profile.set_enabled p true;
+  let under frame n =
+    Profile.enter p ~tid:0 ~now:0 frame;
+    for _ = 1 to n do
+      Profile.note_invalidation p ~tid:0 ~addr:64
+    done;
+    Profile.leave p ~tid:0 ~now:1
+  in
+  under Profile.Op_insert 1;
+  under Profile.Op_delete 2;
+  match Profile.hot_addrs p with
+  | [ h ] ->
+      check_int "invalidations" 3 h.Profile.invalidations;
+      check_string "owner"
+        (Profile.frame_name Profile.Op_delete)
+        (String.concat ";" (List.map Profile.frame_name h.Profile.owner))
+  | hs -> Alcotest.failf "expected one hot address, got %d" (List.length hs)
+
 (* --- reset and the disabled path ------------------------------------------- *)
 
 let test_reset_measurement_clears_profiler () =
@@ -313,6 +338,11 @@ let () =
             test_profile_json_roundtrip;
           Alcotest.test_case "collapsed stacks parse back" `Quick
             test_collapsed_stacks_parse_back;
+        ] );
+      ( "contention",
+        [
+          Alcotest.test_case "owner is the most-charged span" `Quick
+            test_hot_addr_owner_is_most_charged;
         ] );
       ( "lifecycle",
         [
