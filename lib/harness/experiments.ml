@@ -351,16 +351,18 @@ let memory_release =
                 }
               in
               let sys = Runner.make_system spec in
-              let setup = Engine.external_ctx () in
-              let h = System.hash_set sys setup ~expected_size:10_000 in
-              let keys = List.init 10_000 (fun i -> 2 * i) in
-              Michael_hash.prefill h setup keys;
+              let target =
+                Runner.build_target sys spec.Runner.structure
+                  spec.Runner.workload
+              in
               let peak =
                 Metrics.find (System.metrics sys) "vmem.frames_live"
               in
               (* delete every key from a simulated thread, then drain *)
               System.run_on_thread0 sys (fun ctx ->
-                  List.iter (fun k -> ignore (Michael_hash.delete h ctx k)) keys);
+                  List.iter
+                    (fun k -> ignore (target.Runner.delete ctx k))
+                    (Workload.prefill_keys spec.Runner.workload));
               System.drain sys;
               let m = System.metrics sys in
               [

@@ -122,9 +122,7 @@ let run spec =
   let workload =
     Workload.make ~mix:Workload.update_only ~initial:spec.initial ()
   in
-  let setup_ctx = Engine.external_ctx () in
-  let h = System.hash_set sys setup_ctx ~expected_size:spec.initial in
-  Michael_hash.prefill h setup_ctx (Workload.prefill_keys workload);
+  let target = Runner.build_target sys Runner.Hash_set workload in
   System.reset_measurement sys;
   (match spec.fault with
   | No_fault -> ()
@@ -135,20 +133,6 @@ let run spec =
   | Crash ->
       System.set_fault_plan sys
         (Scenario.crash_one ~tid:0 ~at_yield:spec.stall_at_yield));
-  let ops = Array.make spec.workers 0 in
-  let op_base = (Engine.cost_model (System.engine sys)).Cost_model.op_base in
-  for tid = 0 to spec.workers - 1 do
-    System.spawn sys ~tid (fun ctx ->
-        let rng = Prng.create (spec.seed + (1000 * tid)) in
-        while Engine.Mem.now ctx < spec.horizon_cycles do
-          Engine.Mem.charge ctx op_base;
-          (match Workload.next_op workload rng with
-          | Workload.Search k -> ignore (Michael_hash.contains h ctx k)
-          | Workload.Insert k -> ignore (Michael_hash.insert h ctx k)
-          | Workload.Delete k -> ignore (Michael_hash.delete h ctx k));
-          ops.(tid) <- ops.(tid) + 1
-        done)
-  done;
   let ss = (System.scheme sys).Scheme.stats in
   let rev_samples = ref [] in
   Engine.set_sampler (System.engine sys)
@@ -158,7 +142,9 @@ let run spec =
         rev_samples :=
           { at_cycles = at; unreclaimed = Scheme.unreclaimed ss }
           :: !rev_samples);
-  System.run sys;
+  let tally = Runner.new_tally () in
+  Runner.drive sys ~threads:spec.workers target workload
+    ~stop:(Runner.Until_cycles spec.horizon_cycles) ~seed_base:spec.seed tally;
   (* Access-level sanitizer verdict for the run.  The quiescence (leak)
      check is only meaningful without a crash: a fail-stopped thread's
      un-seized limbo contents are expected leaks, not violations. *)
@@ -178,7 +164,7 @@ let run spec =
     final_unreclaimed =
       (match !rev_samples with [] -> 0 | s :: _ -> s.unreclaimed);
     final_pinned = Scheme.pinned ss;
-    ops = Array.fold_left ( + ) 0 ops;
+    ops = Runner.tally_ops tally;
     stalls_injected = fs0.Engine.stalls_injected;
     crashed = fs0.Engine.crashed;
     neutralized = !neutralized;

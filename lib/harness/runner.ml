@@ -1,6 +1,7 @@
 (* One benchmark run: build a system, prefill the structure, drive T
    simulated threads for a fixed simulated-time horizon, report throughput
-   and the per-subsystem statistics the analysis sections need. *)
+   and the per-subsystem statistics the analysis sections need.  [drive] is
+   the one closed loop; Robustness and Service run through it too. *)
 
 open Oamem_engine
 open Oamem_core
@@ -116,10 +117,10 @@ let apply_fusion sys spec =
   Engine.set_fused (System.engine sys) spec.fused;
   Oamem_vmem.Vmem.set_translation_cache (System.vmem sys) spec.fused
 
-let build_target sys spec =
+let build_target sys structure workload =
   let setup_ctx = Engine.external_ctx () in
-  let keys = Workload.prefill_keys spec.workload in
-  match spec.structure with
+  let keys = Workload.prefill_keys workload in
+  match structure with
   | List_set ->
       let l = System.list_set sys setup_ctx in
       Hm_list.build_sorted l setup_ctx keys;
@@ -130,8 +131,7 @@ let build_target sys spec =
       }
   | Hash_set ->
       let h =
-        System.hash_set sys setup_ctx
-          ~expected_size:spec.workload.Workload.initial
+        System.hash_set sys setup_ctx ~expected_size:workload.Workload.initial
       in
       Michael_hash.prefill h setup_ctx keys;
       {
@@ -140,12 +140,30 @@ let build_target sys spec =
         contains = Michael_hash.contains h;
       }
 
-(* One workload phase.  [stop] decides when each thread leaves the loop:
-   after its clock passes a horizon (measured window) or once a shared op
-   quota is consumed (warmup). *)
+(* Warmup length when the spec leaves it at 0: churn until the structure
+   reaches its steady-state memory layout (freed-and-reused nodes, carved
+   superblocks, warm caches and reclamation in flight).  Lists need to
+   churn through every prefilled node (their locality is the story of
+   Fig. 4); hash chains are ~1 node, so a bounded warmup reaches steady
+   state much sooner. *)
+let default_warmup structure workload =
+  match structure with
+  | List_set -> 3 * workload.Workload.initial
+  | Hash_set -> min (3 * workload.Workload.initial) 30_000
+
 type stop = Until_cycles of int | Until_ops of int
 
-let run_phase sys spec target ~stop ~searches ~inserts ~deletes ~seed_base =
+type tally = {
+  mutable searches : int;
+  mutable inserts : int;
+  mutable deletes : int;
+}
+
+let new_tally () = { searches = 0; inserts = 0; deletes = 0 }
+let tally_ops t = t.searches + t.inserts + t.deletes
+
+(* The closed loop of §5.1, shared by every harness driver. *)
+let drive sys ~threads target workload ~stop ~seed_base tally =
   let op_base = (Engine.cost_model (System.engine sys)).Cost_model.op_base in
   let quota = ref (match stop with Until_ops n -> n | Until_cycles _ -> 0) in
   let keep_going ctx =
@@ -158,21 +176,21 @@ let run_phase sys spec target ~stop ~searches ~inserts ~deletes ~seed_base =
         end
         else false
   in
-  for tid = 0 to spec.threads - 1 do
+  for tid = 0 to threads - 1 do
     System.spawn sys ~tid (fun ctx ->
         let rng = Prng.create (seed_base + (1000 * tid)) in
         while keep_going ctx do
           Engine.Mem.charge ctx op_base;
-          (match Workload.next_op spec.workload rng with
+          match Workload.next_op workload rng with
           | Workload.Search k ->
               ignore (target.contains ctx k);
-              searches.(tid) <- searches.(tid) + 1
+              tally.searches <- tally.searches + 1
           | Workload.Insert k ->
               ignore (target.insert ctx k);
-              inserts.(tid) <- inserts.(tid) + 1
+              tally.inserts <- tally.inserts + 1
           | Workload.Delete k ->
               ignore (target.delete ctx k);
-              deletes.(tid) <- deletes.(tid) + 1)
+              tally.deletes <- tally.deletes + 1
         done)
   done;
   System.run sys
@@ -180,50 +198,35 @@ let run_phase sys spec target ~stop ~searches ~inserts ~deletes ~seed_base =
 let run spec =
   let sys = make_system spec in
   apply_fusion sys spec;
-  let target = build_target sys spec in
+  let target = build_target sys spec.structure spec.workload in
   System.reset_measurement sys;
-  let searches = Array.make spec.threads 0
-  and inserts = Array.make spec.threads 0
-  and deletes = Array.make spec.threads 0 in
-  (* Warmup: churn until the structure reaches its steady-state memory
-     layout (freed-and-reused nodes, carved superblocks, warm caches and
-     reclamation in flight), then reset clocks and counters.  Lists need to
-     churn through every prefilled node (their locality is the story of
-     Fig. 4); hash chains are ~1 node, so a bounded warmup reaches steady
-     state much sooner. *)
+  let drive = drive sys ~threads:spec.threads target spec.workload in
   let warmup_ops =
     if spec.warmup_ops > 0 then spec.warmup_ops
-    else
-      match spec.structure with
-      | List_set -> 3 * spec.workload.Workload.initial
-      | Hash_set -> min (3 * spec.workload.Workload.initial) 30_000
+    else default_warmup spec.structure spec.workload
   in
   if warmup_ops > 0 then begin
-    run_phase sys spec target ~stop:(Until_ops warmup_ops) ~searches ~inserts
-      ~deletes ~seed_base:(spec.seed + 17);
+    drive ~stop:(Until_ops warmup_ops) ~seed_base:(spec.seed + 17)
+      (new_tally ());
     (* resets every metrics counter (scheme stats included) and drops
        warmup trace events *)
-    System.reset_measurement sys;
-    Array.fill searches 0 spec.threads 0;
-    Array.fill inserts 0 spec.threads 0;
-    Array.fill deletes 0 spec.threads 0
+    System.reset_measurement sys
   end;
   let eng = System.engine sys in
+  let tally = new_tally () in
   let steps_before = Engine.steps eng in
   let host_t0 = Unix.gettimeofday () in
-  run_phase sys spec target ~stop:(Until_cycles spec.horizon_cycles) ~searches
-    ~inserts ~deletes ~seed_base:spec.seed;
+  drive ~stop:(Until_cycles spec.horizon_cycles) ~seed_base:spec.seed tally;
   let host_seconds = Unix.gettimeofday () -. host_t0 in
   let host_steps = Engine.steps eng - steps_before in
-  let total a = Array.fold_left ( + ) 0 a in
-  let ops = total searches + total inserts + total deletes in
+  let ops = tally_ops tally in
   let sim_seconds = Engine.elapsed_seconds eng in
   {
     spec;
     ops;
-    searches = total searches;
-    inserts = total inserts;
-    deletes = total deletes;
+    searches = tally.searches;
+    inserts = tally.inserts;
+    deletes = tally.deletes;
     sim_seconds;
     throughput_mops = float_of_int ops /. sim_seconds /. 1e6;
     host_seconds;

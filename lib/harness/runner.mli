@@ -1,7 +1,8 @@
 (** One benchmark run: build a system, prefill the structure, churn to a
     steady-state memory layout (warmup), then drive T simulated threads for
     a fixed simulated-time horizon and report throughput plus per-subsystem
-    statistics. *)
+    statistics.  {!drive} is the closed loop itself, shared with
+    [Robustness] and [Service]. *)
 
 open Oamem_engine
 open Oamem_lrmalloc
@@ -65,7 +66,35 @@ type target = {
 }
 
 val make_system : spec -> Oamem_core.System.t
-val build_target : Oamem_core.System.t -> spec -> target
+
+val build_target : Oamem_core.System.t -> structure -> Workload.t -> target
+(** Create the structure, prefilled with {!Workload.prefill_keys}. *)
+
+val default_warmup : structure -> Workload.t -> int
+(** Warmup ops when [spec.warmup_ops = 0]. *)
+
+type stop = Until_cycles of int | Until_ops of int
+(** Each thread's clock passes a horizon, or an op quota shared by all
+    threads runs out. *)
+
+type tally = {
+  mutable searches : int;
+  mutable inserts : int;
+  mutable deletes : int;
+}
+
+val new_tally : unit -> tally
+val tally_ops : tally -> int
+
+val drive :
+  Oamem_core.System.t -> threads:int -> target -> Workload.t -> stop:stop ->
+  seed_base:int -> tally -> unit
+(** The closed loop of §5.1: thread [tid] draws {!Workload.next_op} from a
+    [Prng] seeded [seed_base + 1000 * tid], charging the cost model's
+    [op_base] before each op, until [stop], and counts completed ops in the
+    tally.  Ends in [System.run]: install samplers and spawn other threads
+    first. *)
+
 val run : spec -> result
 val pp_result : Format.formatter -> result -> unit
 

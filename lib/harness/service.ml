@@ -204,37 +204,29 @@ let run spec =
   let g_unreclaimed = Timeline.register_gauge tl "scheme.unreclaimed" in
   let g_frames = Timeline.register_gauge tl "vmem.frames_live" in
   assert (g_unreclaimed = gauge_unreclaimed && g_frames = 1);
-  let op_base = (Engine.cost_model eng).Cost_model.op_base in
   (* prefill keys depend only on (initial, universe) and are shared by
      every phase workload *)
   let churn_wl =
     Workload.make ~mix:Workload.update_only ~initial:spec.initial ()
   in
-  let setup_ctx = Engine.external_ctx () in
-  let store = System.hash_set sys setup_ctx ~expected_size:spec.initial in
-  Michael_hash.prefill store setup_ctx (Workload.prefill_keys churn_wl);
+  let store = Runner.build_target sys Runner.Hash_set churn_wl in
+  (* Under a quota the request loop carries the allocator's recovery net:
+     a node write that faults past the cap flushes-and-retries the whole
+     (idempotent) operation, like the Pressure experiment's touches. *)
+  let recovering =
+    let net op ctx key =
+      Lrmalloc.with_pressure_recovery alloc ctx (fun () -> op ctx key)
+    in
+    {
+      Runner.insert = net store.Runner.insert;
+      delete = net store.Runner.delete;
+      contains = net store.Runner.contains;
+    }
+  in
   (* Warmup churn to a steady-state memory layout, then start measuring. *)
-  let warmup_ops = min (3 * spec.initial) 30_000 in
-  let quota = ref warmup_ops in
-  for tid = 0 to spec.threads - 1 do
-    System.spawn sys ~tid (fun ctx ->
-        let rng = Prng.create (spec.seed + 17 + (1000 * tid)) in
-        let keep_going () =
-          if !quota > 0 then begin
-            decr quota;
-            true
-          end
-          else false
-        in
-        while keep_going () do
-          Engine.Mem.charge ctx op_base;
-          match Workload.next_op churn_wl rng with
-          | Workload.Search k -> ignore (Michael_hash.contains store ctx k)
-          | Workload.Insert k -> ignore (Michael_hash.insert store ctx k)
-          | Workload.Delete k -> ignore (Michael_hash.delete store ctx k)
-        done)
-  done;
-  System.run sys;
+  Runner.drive sys ~threads:spec.threads store churn_wl
+    ~stop:(Runner.Until_ops (Runner.default_warmup Runner.Hash_set churn_wl))
+    ~seed_base:(spec.seed + 17) (Runner.new_tally ());
   System.reset_measurement sys;
   (* The gauge curves cover the scripted horizon: a ballast still
      recovering past the last phase's end is not sampled. *)
@@ -247,7 +239,7 @@ let run spec =
   (* The scripted phases: one spawn generation per phase, cumulative
      horizons (reset_measurement zeroed the clocks; each phase's threads
      run until the shared simulated deadline). *)
-  let ops_count = Array.make spec.threads 0 in
+  let tally = Runner.new_tally () in
   let host_t0 = Unix.gettimeofday () in
   let pressure_per_phase = ref [] in
   let _ =
@@ -267,33 +259,6 @@ let run spec =
           Workload.make ~distribution:ph.distribution ~mix:ph.mix
             ~initial:spec.initial ()
         in
-        let under_quota = ph.quota_headroom <> None in
-        for tid = 0 to spec.threads - 1 do
-          System.spawn sys ~tid (fun ctx ->
-              let rng = Prng.create (spec.seed + (1000 * tid) + (7919 * k)) in
-              let exec op =
-                match op with
-                | Workload.Search key ->
-                    ignore (Michael_hash.contains store ctx key)
-                | Workload.Insert key ->
-                    ignore (Michael_hash.insert store ctx key)
-                | Workload.Delete key ->
-                    ignore (Michael_hash.delete store ctx key)
-              in
-              while Engine.Mem.now ctx < t_end do
-                Engine.Mem.charge ctx op_base;
-                let op = Workload.next_op wl rng in
-                (* under a quota the request loop carries the allocator's
-                   recovery net: a node write that faults past the cap
-                   flushes-and-retries the whole (idempotent) operation,
-                   like the Pressure experiment's touches *)
-                if under_quota then
-                  Lrmalloc.with_pressure_recovery alloc ctx (fun () ->
-                      exec op)
-                else exec op;
-                ops_count.(tid) <- ops_count.(tid) + 1
-              done)
-        done;
         (* Pressure ballast (quota phases): a co-tenant thread grabbing
            persistent memory in its own size classes, Pressure-experiment
            style — each round carves fresh superblocks and touches every
@@ -302,7 +267,7 @@ let run spec =
            (resident but reclaimable), which is exactly what the recovery
            flush can give back.  The thread first catches its clock up to
            the phase start. *)
-        if under_quota then
+        if quota_installed then
           System.spawn sys ~tid:spec.threads (fun ctx ->
               Engine.Mem.charge ctx (max 0 (t_start - Engine.Mem.now ctx));
               (* equal 4-page rounds: once the quota binds, the frames a
@@ -322,7 +287,11 @@ let run spec =
                 [ (8, 256); (16, 128); (32, 64) ];
               Lrmalloc.with_pressure_recovery alloc ctx (fun () ->
                   Lrmalloc.flush_thread_cache alloc ctx));
-        System.run sys;
+        Runner.drive sys ~threads:spec.threads
+          (if quota_installed then recovering else store)
+          wl ~stop:(Runner.Until_cycles t_end)
+          ~seed_base:(spec.seed + (7919 * k))
+          tally;
         if quota_installed then Vmem.set_frame_quota vmem None;
         let recovered =
           (Heap.stats heap).Heap.pressure_recoveries - recoveries0
@@ -352,7 +321,7 @@ let run spec =
         end)
       spec.phases
   in
-  let ops = Array.fold_left ( + ) 0 ops_count in
+  let ops = Runner.tally_ops tally in
   let sim_seconds = Engine.elapsed_seconds eng in
   let overall_lat = merged_op_latency (System.profile sys) in
   let p q =

@@ -147,6 +147,31 @@ let test_runner_more_threads_more_ops () =
   check_bool "parallel work scales" true
     (r4.Runner.ops > r1.Runner.ops)
 
+(* The closed loop's stop rules.  An op quota is shared by all threads, so
+   [Until_ops n] completes exactly [n] operations in total; a horizon stops
+   each thread once its own clock passes it.  Either way, equal inputs give
+   equal tallies. *)
+let test_drive_stop_rules () =
+  let spec = { (small_spec "oa-ver") with Runner.threads = 3 } in
+  let drive stop =
+    let sys = Runner.make_system spec in
+    let target =
+      Runner.build_target sys spec.Runner.structure spec.Runner.workload
+    in
+    let tally = Runner.new_tally () in
+    Runner.drive sys ~threads:spec.Runner.threads target spec.Runner.workload
+      ~stop ~seed_base:spec.Runner.seed tally;
+    tally
+  in
+  let quota = drive (Runner.Until_ops 1_001) in
+  check_int "quota is shared, not per thread" 1_001 (Runner.tally_ops quota);
+  check_bool "equal quota drives, equal tallies" true
+    (drive (Runner.Until_ops 1_001) = quota);
+  let timed = drive (Runner.Until_cycles 20_000) in
+  check_bool "horizon drive ran ops" true (Runner.tally_ops timed > 0);
+  check_bool "equal horizon drives, equal tallies" true
+    (drive (Runner.Until_cycles 20_000) = timed)
+
 (* --- report (value-level doc API) ----------------------------------------------- *)
 
 let test_report_table_alignment () =
@@ -324,6 +349,7 @@ let suite =
     ("runner warmup resets", `Quick, test_runner_warmup_resets_counters);
     ("runner trials", `Quick, test_runner_trials);
     ("runner thread scaling", `Quick, test_runner_more_threads_more_ops);
+    ("drive stop rules", `Quick, test_drive_stop_rules);
     ("report table", `Quick, test_report_table_alignment);
     ("report chart", `Quick, test_report_chart_renders_series);
     ("report csv", `Quick, test_report_csv);
