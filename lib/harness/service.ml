@@ -158,40 +158,6 @@ let stats_of_agg ~phase ~pressure agg =
     pressure_recoveries = pressure;
   }
 
-(* Whole-run op latency: bucket-wise merge of the profiler's [op.*] frame
-   histograms (the same data the BENCH baselines distil). *)
-let merged_op_latency profile =
-  let ops =
-    List.filter
-      (fun (l : Profile.latency) -> List.mem l.Profile.lframe Profile.op_frames)
-      (Profile.latencies profile)
-  in
-  match ops with
-  | [] -> None
-  | first :: _ ->
-      let merge_buckets a b =
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun (le, n) ->
-            Hashtbl.replace tbl le
-              (n + Option.value (Hashtbl.find_opt tbl le) ~default:0))
-          (a @ b);
-        Hashtbl.fold (fun le n acc -> (le, n) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Some
-        (List.fold_left
-           (fun (acc : Profile.latency) (l : Profile.latency) ->
-             {
-               acc with
-               Profile.count = acc.Profile.count + l.Profile.count;
-               sum = acc.Profile.sum + l.Profile.sum;
-               max_cycles = max acc.Profile.max_cycles l.Profile.max_cycles;
-               buckets = merge_buckets acc.Profile.buckets l.Profile.buckets;
-             })
-           { first with Profile.count = 0; sum = 0; max_cycles = 0; buckets = [] }
-           ops)
-
 let run spec =
   if spec.phases = [] then invalid_arg "Service.run: no phases";
   let sys = make_system spec in
@@ -323,7 +289,9 @@ let run spec =
   in
   let ops = Runner.tally_ops tally in
   let sim_seconds = Engine.elapsed_seconds eng in
-  let overall_lat = merged_op_latency (System.profile sys) in
+  let overall_lat =
+    Profile.merged_latency (System.profile sys) Profile.op_frames
+  in
   let p q =
     match overall_lat with None -> 0 | Some l -> Profile.percentile l q
   in

@@ -119,10 +119,8 @@ let bucket_of v =
   let rec go b bound = if v <= bound - 1 then b else go (b + 1) (bound * 2) in
   go 0 1
 
-(* Shared with Timeline, so per-window histograms bucket identically. *)
-let log2_bucket = bucket_of
-let log2_nbuckets = nbuckets
-
+(* One log2 latency histogram: the profiler keeps one per frame, and
+   Timeline one per frame and slice. *)
 type hist = {
   hbuckets : int array;
   mutable hcount : int;
@@ -324,27 +322,47 @@ type latency = {
   buckets : (int * int) list;
 }
 
+let latency_of_hist lframe h =
+  let buckets = ref [] in
+  for b = nbuckets - 1 downto 0 do
+    if h.hbuckets.(b) > 0 then
+      buckets := ((1 lsl b) - 1, h.hbuckets.(b)) :: !buckets
+  done;
+  {
+    lframe;
+    count = h.hcount;
+    sum = h.hsum;
+    max_cycles = h.hmax;
+    buckets = !buckets;
+  }
+
 let latencies t =
   List.filter_map
     (fun f ->
       let h = t.hists.(frame_index f) in
-      if h.hcount = 0 then None
-      else begin
-        let buckets = ref [] in
-        for b = nbuckets - 1 downto 0 do
-          if h.hbuckets.(b) > 0 then
-            buckets := ((1 lsl b) - 1, h.hbuckets.(b)) :: !buckets
-        done;
-        Some
-          {
-            lframe = f;
-            count = h.hcount;
-            sum = h.hsum;
-            max_cycles = h.hmax;
-            buckets = !buckets;
-          }
-      end)
+      if h.hcount = 0 then None else Some (latency_of_hist f h))
     all_frames
+
+let merge_hists frames find =
+  let merged = fresh_hist () in
+  List.iter
+    (fun f ->
+      match find f with
+      | None -> ()
+      | Some h ->
+          Array.iteri
+            (fun b n -> merged.hbuckets.(b) <- merged.hbuckets.(b) + n)
+            h.hbuckets;
+          merged.hcount <- merged.hcount + h.hcount;
+          merged.hsum <- merged.hsum + h.hsum;
+          if h.hmax > merged.hmax then merged.hmax <- h.hmax)
+    frames;
+  match frames with
+  | f :: _ when merged.hcount > 0 -> Some (latency_of_hist f merged)
+  | _ -> None
+
+let merged_latency t frames =
+  merge_hists frames (fun f -> Some t.hists.(frame_index f))
 
 (* Percentiles interpolate linearly inside the covering log2 bucket instead
    of snapping to its upper bound (which overestimated by up to 2x at high

@@ -67,13 +67,6 @@ val op_frames : frame list
 
 val nframes : int
 
-val log2_bucket : int -> int
-(** Histogram bucket of a duration: bucket [b] holds
-    [(2^(b-1) - 1, 2^b - 1]], bucket 0 holds exactly 0 (Metrics-compatible;
-    shared with {!Timeline} so per-window histograms bucket identically). *)
-
-val log2_nbuckets : int
-
 type t
 
 val create : nthreads:int -> unit -> t
@@ -156,6 +149,23 @@ type latency = {
 
 val latencies : t -> latency list
 (** One entry per frame with at least one closed span, in frame order. *)
+
+val merged_latency : t -> frame list -> latency option
+(** Bucket-wise merge of the listed frames (e.g. {!op_frames} for whole-run
+    op latency); [lframe] is the first listed frame, [None] when all are
+    empty. *)
+
+type hist
+(** One log2 histogram: bucket [b] holds durations in
+    [(2^(b-1) - 1, 2^b - 1]], bucket 0 exactly 0 (Metrics-compatible).
+    {!Timeline} keeps one per frame and slice. *)
+
+val fresh_hist : unit -> hist
+val hist_observe : hist -> int -> unit
+val latency_of_hist : frame -> hist -> latency
+
+val merge_hists : frame list -> (frame -> hist option) -> latency option
+(** {!merged_latency} over any per-frame histogram lookup. *)
 
 val percentile : latency -> float -> int
 (** [percentile l q] for [q] in [0, 1]: locate the log2 bucket covering

@@ -78,36 +78,12 @@ let column_name = function
   | Revoke_posts -> "revoke_posts"
   | Cond_fails -> "cond_fails"
 
-(* Per-frame latency histogram, same log2 bucketing as Profile so
-   [Profile.percentile] applies unchanged to the per-slice views. *)
-type lhist = {
-  lbuckets : int array;
-  mutable lcount : int;
-  mutable lsum : int;
-  mutable lmax : int;
-}
-
-let fresh_lhist () =
-  {
-    lbuckets = Array.make Profile.log2_nbuckets 0;
-    lcount = 0;
-    lsum = 0;
-    lmax = 0;
-  }
-
-let lhist_observe h v =
-  let b = min (Profile.log2_nbuckets - 1) (Profile.log2_bucket v) in
-  h.lbuckets.(b) <- h.lbuckets.(b) + 1;
-  h.lcount <- h.lcount + 1;
-  h.lsum <- h.lsum + v;
-  if v > h.lmax then h.lmax <- v
-
 (* One slice (window or phase). Gauge arrays are sized to the gauges
    registered when the slice was created and grown on demand, so late
    registration cannot index out of range. *)
 type agg = {
   counts : int array;
-  lats : lhist option array;
+  lats : Profile.hist option array;  (* per frame, created on first span *)
   mutable glast : int array;
   mutable gmax : int array;
   mutable gset : bool array;
@@ -221,11 +197,11 @@ let charge_latency agg frame dur =
     match agg.lats.(i) with
     | Some h -> h
     | None ->
-        let h = fresh_lhist () in
+        let h = Profile.fresh_hist () in
         agg.lats.(i) <- Some h;
         h
   in
-  lhist_observe h (max 0 dur)
+  Profile.hist_observe h (max 0 dur)
 
 let note_latency t frame ~now ~dur =
   if t.on then begin
@@ -319,44 +295,12 @@ let phase_of_cycle t cycle =
     (fun acc (name, at) -> if at <= cycle then name else acc)
     "init" (marks t)
 
-let latency_of_lhist lframe h =
-  let buckets = ref [] in
-  for b = Profile.log2_nbuckets - 1 downto 0 do
-    if h.lbuckets.(b) > 0 then
-      buckets := ((1 lsl b) - 1, h.lbuckets.(b)) :: !buckets
-  done;
-  {
-    Profile.lframe;
-    count = h.lcount;
-    sum = h.lsum;
-    max_cycles = h.lmax;
-    buckets = !buckets;
-  }
-
 let agg_latency agg frame =
-  Option.map (latency_of_lhist frame) agg.lats.(Profile.frame_index frame)
+  Option.map (Profile.latency_of_hist frame)
+    agg.lats.(Profile.frame_index frame)
 
 let agg_latency_merged agg frames =
-  let merged = fresh_lhist () in
-  let any = ref false in
-  List.iter
-    (fun f ->
-      match agg.lats.(Profile.frame_index f) with
-      | None -> ()
-      | Some h ->
-          any := true;
-          Array.iteri
-            (fun b n -> merged.lbuckets.(b) <- merged.lbuckets.(b) + n)
-            h.lbuckets;
-          merged.lcount <- merged.lcount + h.lcount;
-          merged.lsum <- merged.lsum + h.lsum;
-          if h.lmax > merged.lmax then merged.lmax <- h.lmax)
-    frames;
-  if !any then
-    match frames with
-    | f :: _ -> Some (latency_of_lhist f merged)
-    | [] -> None
-  else None
+  Profile.merge_hists frames (fun f -> agg.lats.(Profile.frame_index f))
 
 let agg_gauge agg id =
   if id >= 0 && id < Array.length agg.gset && agg.gset.(id) then
