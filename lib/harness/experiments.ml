@@ -86,13 +86,54 @@ let doc_of build =
 
 let fmt_mops v = Printf.sprintf "%.3f" v
 
-let throughput_figure ~id ~title ~paper_ref ~expected ~structure ~initial ~mix
-    ?(threshold = 64) ?(horizon_mult = 1) ?(trials = 1) () =
+(* The six figure workloads (E1-E6), defined once: the throughput figures,
+   E15 and the list ablations all build their cells with [figure_spec]. *)
+type figure = {
+  fig : string;
+  structure : Runner.structure;
+  size : config -> int;
+  mix : Workload.mix;
+  threshold : int;
+  horizon_mult : int;  (* horizon in multiples of cfg.horizon_cycles *)
+}
+
+let figures =
+  let make fig structure size mix threshold horizon_mult =
+    { fig; structure; size; mix; threshold; horizon_mult }
+  in
+  let fig4 cfg = cfg.fig4_size and fig6 cfg = cfg.fig6_size in
+  let fig5 _ = 10_000 in
+  let list = Runner.List_set and hash = Runner.Hash_set in
+  let upd = Workload.update_only and bal = Workload.balanced in
+  [
+    make "fig4a" list fig4 upd 16 8;
+    make "fig4b" list fig4 bal 16 8;
+    make "fig5a" hash fig5 upd 64 2;
+    make "fig5b" hash fig5 bal 64 2;
+    make "fig6a" hash fig6 upd 64 2;
+    make "fig6b" hash fig6 bal 64 2;
+  ]
+
+let figure id = List.find (fun f -> f.fig = id) figures
+
+let figure_spec cfg f ~scheme ~threads =
+  {
+    Runner.default_spec with
+    Runner.scheme;
+    threads;
+    structure = f.structure;
+    workload = Workload.make ~mix:f.mix ~initial:(f.size cfg) ();
+    horizon_cycles = f.horizon_mult * cfg.horizon_cycles;
+    threshold = f.threshold;
+    seed = cfg.seed;
+  }
+
+let throughput_figure ~id ~title ~paper_ref ~expected ?(trials = 1) () =
+  let fig = figure id in
   let run cfg =
     doc_of @@ fun emit ->
     emit (Report.section (Printf.sprintf "%s — %s" id title));
     emit (Report.textf "Paper: %s\nExpected shape: %s\n\n" paper_ref expected);
-    let initial = initial cfg in
     (* the designated run for --trace/--metrics export: the last scheme at
        the highest thread count *)
     let max_threads = List.fold_left max 1 cfg.threads in
@@ -113,17 +154,7 @@ let throughput_figure ~id ~title ~paper_ref ~expected ~structure ~initial ~mix
       in
       let summary =
         Runner.run_trials ~trials
-          {
-            Runner.default_spec with
-            Runner.scheme;
-            threads;
-            structure;
-            workload = Workload.make ~mix ~initial ();
-            horizon_cycles = horizon_mult * cfg.horizon_cycles;
-            threshold;
-            seed = cfg.seed;
-            trace = traced;
-          }
+          { (figure_spec cfg fig ~scheme ~threads) with Runner.trace = traced }
       in
       (* report the median trial (lists are noisy at small scale) *)
       List.find
@@ -219,9 +250,7 @@ let throughput_figure ~id ~title ~paper_ref ~expected ~structure ~initial ~mix
 let fig4a =
   throughput_figure ~id:"fig4a"
     ~title:"linked list (paper: 5K nodes, scaled), 50%ins/50%del"
-    ~paper_ref:"Figure 4a" ~structure:Runner.List_set
-    ~initial:(fun cfg -> cfg.fig4_size)
-    ~mix:Workload.update_only ~threshold:16 ~horizon_mult:8 ~trials:3
+    ~paper_ref:"Figure 4a" ~trials:3
     ~expected:
       "OA-VER above OA-BIT (fewer warnings on long chains); OA-BIT/OA-VER \
        beat OA and NR at low thread counts; NR/OA recover at high counts"
@@ -230,16 +259,12 @@ let fig4a =
 let fig4b =
   throughput_figure ~id:"fig4b"
     ~title:"linked list (paper: 5K nodes, scaled), 50%srch/25/25"
-    ~paper_ref:"Figure 4b" ~structure:Runner.List_set
-    ~initial:(fun cfg -> cfg.fig4_size)
-    ~mix:Workload.balanced ~threshold:16 ~horizon_mult:8 ~trials:3
+    ~paper_ref:"Figure 4b" ~trials:3
     ~expected:"same ordering as 4a with a smaller OA-VER/OA-BIT gap" ()
 
 let fig5a =
   throughput_figure ~id:"fig5a" ~title:"hash table, 10K nodes, 50%ins/50%del"
-    ~paper_ref:"Figure 5a" ~structure:Runner.Hash_set
-    ~initial:(fun _ -> 10_000)
-    ~mix:Workload.update_only ~horizon_mult:2
+    ~paper_ref:"Figure 5a"
     ~expected:
       "OA competitive at 1-2 threads but flattens with threads (shared \
        fixed pool); OA-BIT ~ OA-VER scale"
@@ -247,23 +272,17 @@ let fig5a =
 
 let fig5b =
   throughput_figure ~id:"fig5b" ~title:"hash table, 10K nodes, 50%srch/25/25"
-    ~paper_ref:"Figure 5b" ~structure:Runner.Hash_set
-    ~initial:(fun _ -> 10_000)
-    ~mix:Workload.balanced ~horizon_mult:2 ~expected:"same shape as 5a" ()
+    ~paper_ref:"Figure 5b" ~expected:"same shape as 5a" ()
 
 let fig6a =
   throughput_figure ~id:"fig6a" ~title:"hash table, 1M nodes (scaled), 50/50"
-    ~paper_ref:"Figure 6a" ~structure:Runner.Hash_set
-    ~initial:(fun cfg -> cfg.fig6_size)
-    ~mix:Workload.update_only ~horizon_mult:2
+    ~paper_ref:"Figure 6a"
     ~expected:"same ordering as 5a at a larger footprint" ()
 
 let fig6b =
   throughput_figure ~id:"fig6b"
     ~title:"hash table, 1M nodes (scaled), 50%srch/25/25"
-    ~paper_ref:"Figure 6b" ~structure:Runner.Hash_set
-    ~initial:(fun cfg -> cfg.fig6_size)
-    ~mix:Workload.balanced ~horizon_mult:2 ~expected:"same shape as 6a" ()
+    ~paper_ref:"Figure 6b" ~expected:"same shape as 6a" ()
 
 (* --- E7: remap strategies make no throughput difference (§5.1) -------------- *)
 
@@ -523,18 +542,7 @@ let warnings_ablation =
           List.map
             (fun scheme ->
               let r =
-                Runner.run
-                  {
-                    Runner.default_spec with
-                    Runner.scheme;
-                    threads;
-                    structure = Runner.List_set;
-                    workload =
-                      Workload.make ~mix:Workload.update_only ~initial:cfg.fig4_size ();
-                    horizon_cycles = 8 * cfg.horizon_cycles;
-                    threshold = 16;
-                    seed = cfg.seed;
-                  }
+                Runner.run (figure_spec cfg (figure "fig4a") ~scheme ~threads)
               in
               let m = r.Runner.metrics in
               [
@@ -678,16 +686,8 @@ let cache_sweep =
                   let r =
                     Runner.run
                       {
-                        Runner.default_spec with
-                        Runner.scheme;
-                        threads;
-                        structure = Runner.List_set;
-                        workload =
-                          Workload.make ~mix:Workload.update_only ~initial:cfg.fig4_size ();
-                        horizon_cycles = 8 * cfg.horizon_cycles;
-                        threshold = 16;
-                        cache_cfg;
-                        seed = cfg.seed;
+                        (figure_spec cfg (figure "fig4a") ~scheme ~threads) with
+                        Runner.cache_cfg;
                       }
                   in
                   [ name; scheme; fmt_mops r.Runner.throughput_mops ])
@@ -1304,34 +1304,14 @@ let immediate =
            Every cell is an independent seeded run, sharded across cfg.jobs
            domains and reassembled in canonical order — results are
            identical at any -j. *)
-        let figures =
-          [
-            ("fig4a", Runner.List_set, cfg.fig4_size, Workload.update_only, 16, 8);
-            ("fig4b", Runner.List_set, cfg.fig4_size, Workload.balanced, 16, 8);
-            ("fig5a", Runner.Hash_set, 10_000, Workload.update_only, 64, 2);
-            ("fig5b", Runner.Hash_set, 10_000, Workload.balanced, 64, 2);
-            ("fig6a", Runner.Hash_set, cfg.fig6_size, Workload.update_only, 64, 2);
-            ("fig6b", Runner.Hash_set, cfg.fig6_size, Workload.balanced, 64, 2);
-          ]
-        in
         let schemes = [ "oa-bit"; "oa-ver"; "imr" ] in
         let cells =
           List.concat_map
             (fun fig -> List.map (fun scheme -> (fig, scheme)) schemes)
             figures
         in
-        let run_cell ((_, structure, initial, mix, threshold, mult), scheme) =
-          Runner.run
-            {
-              Runner.default_spec with
-              Runner.scheme;
-              threads;
-              structure;
-              workload = Workload.make ~mix ~initial ();
-              horizon_cycles = mult * cfg.horizon_cycles;
-              threshold;
-              seed = cfg.seed;
-            }
+        let run_cell (fig, scheme) =
+          Runner.run (figure_spec cfg fig ~scheme ~threads)
         in
         let results = Pool.map_exn ~jobs:cfg.jobs run_cell cells in
         let header =
@@ -1342,10 +1322,10 @@ let immediate =
         in
         let rows =
           List.map2
-            (fun ((figname, _, _, _, _, _), scheme) r ->
+            (fun (f, scheme) r ->
               let m = r.Runner.metrics in
               [
-                figname;
+                f.fig;
                 scheme;
                 fmt_mops r.Runner.throughput_mops;
                 string_of_int (Metrics.find m "scheme.restarts");
@@ -1362,7 +1342,7 @@ let immediate =
            property costs against each hazard-pointer OA flavour. *)
         let tagged =
           List.map2
-            (fun ((fig, _, _, _, _, _), scheme) r -> ((fig, scheme), r))
+            (fun (f, scheme) r -> ((f.fig, scheme), r))
             cells results
         in
         let mops fig scheme =
@@ -1373,7 +1353,7 @@ let immediate =
           (Report.table
              ~header:[ "figure"; "imr / oa-bit"; "imr / oa-ver" ]
              (List.map
-                (fun (fig, _, _, _, _, _) ->
+                (fun { fig; _ } ->
                   [
                     fig;
                     ratio (mops fig "imr") (mops fig "oa-bit");
