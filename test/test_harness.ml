@@ -150,7 +150,7 @@ let test_runner_more_threads_more_ops () =
 (* The closed loop's stop rules.  An op quota is shared by all threads, so
    [Until_ops n] completes exactly [n] operations in total; a horizon stops
    each thread once its own clock passes it.  Either way, equal inputs give
-   equal tallies. *)
+   equal tallies and clocks. *)
 let test_drive_stop_rules () =
   let spec = { (small_spec "oa-ver") with Runner.threads = 3 } in
   let drive stop =
@@ -161,14 +161,17 @@ let test_drive_stop_rules () =
     let tally = Runner.new_tally () in
     Runner.drive sys ~threads:spec.Runner.threads target spec.Runner.workload
       ~stop ~seed_base:spec.Runner.seed tally;
-    tally
+    let eng = Oamem_core.System.engine sys in
+    (tally, List.init spec.Runner.threads (fun tid -> Engine.clock eng ~tid))
   in
   let quota = drive (Runner.Until_ops 1_001) in
-  check_int "quota is shared, not per thread" 1_001 (Runner.tally_ops quota);
+  check_int "quota is shared, not per thread" 1_001
+    (Runner.tally_ops (fst quota));
   check_bool "equal quota drives, equal tallies" true
     (drive (Runner.Until_ops 1_001) = quota);
   let timed = drive (Runner.Until_cycles 20_000) in
-  check_bool "horizon drive ran ops" true (Runner.tally_ops timed > 0);
+  check_bool "every thread ran past the horizon" true
+    (List.for_all (fun c -> c >= 20_000) (snd timed));
   check_bool "equal horizon drives, equal tallies" true
     (drive (Runner.Until_cycles 20_000) = timed)
 
